@@ -1,49 +1,49 @@
 """Hot kernels for sphere enumeration and filler matching.
 
-The sphere search is a depth-first enumeration over integer face tables:
-slot ``t`` of a sphere is a (k-1)-cell id, and each slot is constrained
-against earlier slots by equations of the form
+Slot ``t`` of a k-sphere is a (k-1)-cell id, and each slot is constrained
+against earlier slots by cycle equations of the form
 
     F2[new, col_new] == F2[prev, col_prev]
 
-encoded in CSR-style arrays.  Fillers are rows of the dimension-k face
-table, so existence is a sorted-row membership test and uniqueness is
-duplicate-row detection.
+encoded in CSR-style arrays by :func:`build_constraints`.  Enumerating the
+spheres is a conjunctive query over the face table ``F2``, each equation an
+equi-join predicate.  :func:`scan_spheres` answers it with one numpy kernel
+that extends a frontier of partial spheres slot by slot:
 
-Two interchangeable backends implement the scan: a numba ``@njit`` kernel
-and a pure-numpy fallback.  Selection is automatic (numba when importable)
-and can be forced with the environment variable ``AUFHEBUNG_NO_NUMBA=1``.
-Both backends enumerate in identical order and return identical results;
-``benchmarks/bench_kernels.py`` compares their speed.
+* every constrained column of ``F2`` is argsorted once per scan into a
+  bucket index; a slot's candidates are the bucket of its first equation,
+  filtered by its other equations;
+* the frontier is a stack of lexicographic blocks, and one expansion
+  materialises at most ``BLOCK`` (prefix, candidate) pairs, so memory
+  stays O(BLOCK x slots) and spheres come out in depth-first order of
+  increasing cell id;
+* finished spheres are looked up in the k-cell boundary table one block
+  at a time.
+
+Fillers are rows of the dimension-k face table, so existence is a sorted
+row membership test and uniqueness is duplicate-row detection.  The
+benchmark in ``perfbench/`` times the scan end to end and per layer.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# most (prefix, candidate) pairs one frontier expansion materialises
+BLOCK = 4096
 
 
 def numba_enabled() -> bool:
-    """True when the njit backend is active (checked per call)."""
-    if os.environ.get("AUFHEBUNG_NO_NUMBA", "").strip().lower() in ("1", "true", "yes"):
-        return False
-    return HAVE_NUMBA
+    return False
+
+
+def require_positive(**limits: int) -> None:
+    """Raise ValueError for a resource limit that is not positive."""
+    for name, value in limits.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, not {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +100,6 @@ def build_constraints(shape: str, k: int) -> tuple[int, np.ndarray, np.ndarray, 
     return slots, con_ptr, con_slot, col_new, col_prev
 
 
-def sort_rows(B: np.ndarray) -> np.ndarray:
-    """Rows of B sorted lexicographically, first column most significant."""
-    if B.shape[0] == 0 or B.shape[1] == 0:
-        return B.copy()
-    order = np.lexsort(B.T[::-1])
-    return np.ascontiguousarray(B[order])
-
-
 def duplicate_row_groups(B: np.ndarray) -> list[np.ndarray]:
     """Groups of row indices of B sharing an identical row (size >= 2)."""
     if B.shape[0] == 0:
@@ -137,163 +129,92 @@ def find_fillers(B: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# njit backend
+# the join
 
 
-@njit(cache=True)
-def _row_member_njit(B, row):  # pragma: no cover - compiled
-    lo, hi = 0, B.shape[0]
-    w = row.shape[0]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = 0
-        for t in range(w):
-            if B[mid, t] < row[t]:
-                c = -1
-                break
-            if B[mid, t] > row[t]:
-                c = 1
-                break
-        if c < 0:
-            lo = mid + 1
-        elif c > 0:
-            hi = mid
-        else:
-            return True
-    return False
+class _JoinIndex:
+    """Bucket index of ``F2`` for the cycle equations of one sphere shape."""
+
+    def __init__(self, F2: np.ndarray, con_ptr, con_slot, col_new, col_prev):
+        self.F2 = F2
+        self.n = F2.shape[0]
+        # per slot: (earlier slot, column of the new cell, column of the earlier cell)
+        self.cons = [list(zip(con_slot[a:b].tolist(), col_new[a:b].tolist(),
+                              col_prev[a:b].tolist()))
+                     for a, b in zip(con_ptr[:-1].tolist(), con_ptr[1:].tolist())]
+        self.order: dict[int, np.ndarray] = {}
+        self.keys: dict[int, np.ndarray] = {}
+        for c in set(col_new.tolist()):
+            # stable, so every bucket lists its cell ids in increasing order
+            order = np.argsort(F2[:, c], kind="stable").astype(np.int32)
+            self.order[c] = order
+            self.keys[c] = F2[order, c]
+
+    def ranges(self, d: int, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket range [lo, hi) of slot ``d`` for each prefix row of ``P``."""
+        if not self.cons[d]:
+            return np.zeros(len(P), np.int64), np.full(len(P), self.n, np.int64)
+        s, c_new, c_prev = self.cons[d][0]
+        keys = self.keys[c_new]
+        v = self.F2[P[:, s], c_prev]
+        return np.searchsorted(keys, v, "left"), np.searchsorted(keys, v, "right")
+
+    def cells(self, d: int, pos: np.ndarray) -> np.ndarray:
+        """Cell ids at bucket positions ``pos`` of slot ``d``."""
+        if not self.cons[d]:
+            return pos.astype(np.int32)
+        return self.order[self.cons[d][0][1]][pos]
+
+    def accept(self, d: int, P: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mask of the cells ``y`` that meet the other equations of slot
+        ``d`` against the prefixes ``P`` (one row per cell)."""
+        ok = np.ones(len(y), dtype=bool)
+        for s, c_new, c_prev in self.cons[d][1:]:
+            ok &= self.F2[y, c_new] == self.F2[P[:, s], c_prev]
+        return ok
+
+    def candidates(self, d: int, choice: np.ndarray) -> np.ndarray:
+        """Increasing cell ids that can fill slot ``d`` after ``choice[:d]``."""
+        P = choice[None, :d]
+        lo, hi = self.ranges(d, P)
+        y = self.cells(d, np.arange(lo[0], hi[0]))
+        return y[self.accept(d, np.broadcast_to(P, (len(y), d)), y)]
 
 
-@njit(cache=True)
-def _dfs_njit(F2, B_sorted, con_ptr, con_slot, col_new, col_prev, slots,
-              budget, miss_out, store_out, do_store):  # pragma: no cover - compiled
-    N = F2.shape[0]
-    miss_cap = miss_out.shape[0]
-    store_cap = store_out.shape[0]
-    choice = np.zeros(slots, np.int32)
-    cursor = np.zeros(slots, np.int64)
-    n_sph = 0
-    n_miss = 0
-    n_stored = 0
-    overflow = 0
-    depth = 0
-    while depth >= 0:
-        y = cursor[depth]
-        found = -1
-        while y < N:
-            ok = True
-            for e in range(con_ptr[depth], con_ptr[depth + 1]):
-                if F2[y, col_new[e]] != F2[choice[con_slot[e]], col_prev[e]]:
-                    ok = False
-                    break
-            if ok:
-                found = y
-                break
-            y += 1
-        if found < 0:
-            cursor[depth] = 0
-            depth -= 1
-            continue
-        choice[depth] = found
-        cursor[depth] = found + 1
-        if depth == slots - 1:
-            if n_sph >= budget:
-                overflow = 1
-                break
-            n_sph += 1
-            if not _row_member_njit(B_sorted, choice):
-                if n_miss < miss_cap:
-                    for t in range(slots):
-                        miss_out[n_miss, t] = choice[t]
-                n_miss += 1
-            if do_store:
-                if n_stored < store_cap:
-                    for t in range(slots):
-                        store_out[n_stored, t] = choice[t]
-                    n_stored += 1
-                else:
-                    overflow = 2
-        else:
-            depth += 1
-            cursor[depth] = 0
-    return n_sph, n_miss, n_stored, overflow
+class _Frontier:
+    """Partial spheres with ``d`` slots filled, each with its bucket range
+    for slot ``d``, read as one flat list of (prefix, candidate) pairs in
+    lexicographic order."""
+
+    def __init__(self, d: int, P: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.d, self.P = d, P
+        self.end = np.cumsum(hi - lo)
+        # pair t of row r sits at bucket position base[r] + t
+        self.base = hi - self.end
+        self.size = int(self.end[-1]) if len(P) else 0
+        self.pos = 0
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next at most ``n`` pairs: (prefix rows, bucket positions)."""
+        t = np.arange(self.pos, min(self.pos + n, self.size))
+        self.pos += len(t)
+        rows = np.searchsorted(self.end, t, side="right")
+        return self.P[rows], self.base[rows] + t
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback backend
+def _row_set(B: np.ndarray, slots: int):
+    """Vectorised membership test for rows of ``B``."""
+    if B.shape[0] == 0:
+        return lambda Q: np.zeros(len(Q), dtype=bool)
+    row = np.dtype((np.void, 4 * slots))
+    keys = np.sort(np.ascontiguousarray(B, dtype=np.int32).view(row).ravel())
 
+    def member(Q: np.ndarray) -> np.ndarray:
+        q = np.ascontiguousarray(Q).view(row).ravel()
+        i = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return keys[i] == q
 
-def _row_member_np(B: np.ndarray, row: np.ndarray) -> bool:
-    lo, hi = 0, B.shape[0]
-    w = len(row)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = 0
-        for t in range(w):
-            if B[mid, t] < row[t]:
-                c = -1
-                break
-            if B[mid, t] > row[t]:
-                c = 1
-                break
-        if c < 0:
-            lo = mid + 1
-        elif c > 0:
-            hi = mid
-        else:
-            return True
-    return False
-
-
-def _candidates_np(F2, choice, con_ptr, con_slot, col_new, col_prev, depth):
-    N = F2.shape[0]
-    mask = np.ones(N, dtype=bool)
-    for e in range(con_ptr[depth], con_ptr[depth + 1]):
-        mask &= F2[:, col_new[e]] == F2[choice[con_slot[e]], col_prev[e]]
-    return np.nonzero(mask)[0]
-
-
-def _dfs_numpy(F2, B_sorted, con_ptr, con_slot, col_new, col_prev, slots,
-               budget, miss_out, store_out, do_store):
-    N = F2.shape[0]
-    miss_cap = miss_out.shape[0]
-    store_cap = store_out.shape[0]
-    choice = np.zeros(slots, np.int32)
-    n_sph = n_miss = n_stored = 0
-    overflow = 0
-    cands: list[np.ndarray] = [None] * slots  # type: ignore[list-item]
-    pos = [0] * slots
-    depth = 0
-    cands[0] = _candidates_np(F2, choice, con_ptr, con_slot, col_new, col_prev, 0)
-    pos[0] = 0
-    while depth >= 0:
-        if pos[depth] >= len(cands[depth]):
-            depth -= 1
-            if depth >= 0:
-                pos[depth] += 1
-            continue
-        choice[depth] = cands[depth][pos[depth]]
-        if depth == slots - 1:
-            if n_sph >= budget:
-                overflow = 1
-                break
-            n_sph += 1
-            if not _row_member_np(B_sorted, choice):
-                if n_miss < miss_cap:
-                    miss_out[n_miss] = choice
-                n_miss += 1
-            if do_store:
-                if n_stored < store_cap:
-                    store_out[n_stored] = choice
-                    n_stored += 1
-                else:
-                    overflow = 2
-            pos[depth] += 1
-        else:
-            depth += 1
-            cands[depth] = _candidates_np(F2, choice, con_ptr, con_slot,
-                                          col_new, col_prev, depth)
-            pos[depth] = 0
-    return n_sph, n_miss, n_stored, overflow
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +240,56 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     """Enumerate all k-spheres over the face table ``F2`` of (k-1)-cells.
 
     ``B`` is the boundary table of k-cells (one row per cell, in sphere
-    slot order); a sphere with no matching row has no filler.  Enumeration
-    is depth-first in increasing cell id, so results are deterministic and
-    backend independent.
+    slot order); a sphere with no matching row has no filler.  Spheres are
+    counted in lexicographic slot order: ``missing`` holds the first
+    ``miss_cap`` unfilled ones and ``stored`` the first ``store_cap``.
+    When more than ``budget`` spheres exist, the first ``budget`` are
+    counted and ``overflow`` is set.
     """
-    slots, con_ptr, con_slot, col_new, col_prev = build_constraints(shape, k)
-    F2 = np.ascontiguousarray(F2, dtype=np.int32)
-    B_sorted = sort_rows(np.ascontiguousarray(B, dtype=np.int32))
-    miss_out = np.zeros((miss_cap, slots), dtype=np.int32)
-    store_out = np.zeros((store_cap if store else 0, slots), dtype=np.int32)
-    use_njit = numba_enabled()
-    fn = _dfs_njit if use_njit else _dfs_numpy
-    n_sph, n_miss, n_stored, overflow = fn(
-        F2, B_sorted, con_ptr, con_slot, col_new, col_prev, slots,
-        budget, miss_out, store_out, store)
+    require_positive(budget=budget)
+    if miss_cap < 0 or store_cap < 0:
+        raise ValueError("witness and store caps must not be negative")
+    slots, *cons = build_constraints(shape, k)
+    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), *cons)
+    in_B = _row_set(B, slots)
+    empty = np.zeros((0, slots), dtype=np.int32)
+    missing, stored = [empty], [empty]
+    n_sph = n_miss = n_kept = n_stored = 0
+    overflow = False
+    root = np.zeros((1, 0), dtype=np.int32)
+    stack = [_Frontier(0, root, *index.ranges(0, root))]
+    while stack and not overflow:
+        top = stack[-1]
+        P, pos = top.take(BLOCK)
+        if top.pos == top.size:
+            stack.pop()
+        y = index.cells(top.d, pos)
+        ok = index.accept(top.d, P, y)
+        Q = np.concatenate([P[ok], y[ok, None]], axis=1)
+        if top.d + 1 < slots:
+            # the remainder of ``top`` stays below: its pairs come later
+            if len(Q):
+                stack.append(_Frontier(top.d + 1, Q, *index.ranges(top.d + 1, Q)))
+            continue
+        if len(Q) > budget - n_sph:
+            Q = Q[:budget - n_sph]
+            overflow = True
+        n_sph += len(Q)
+        miss = Q[~in_B(Q)]
+        n_miss += len(miss)
+        missing.append(miss[:miss_cap - n_kept])
+        n_kept += len(missing[-1])
+        if store:
+            stored.append(Q[:store_cap - n_stored])
+            n_stored += len(stored[-1])
     return SphereScan(
-        n_spheres=int(n_sph),
-        n_missing=int(n_miss),
-        missing=miss_out[:min(n_miss, miss_cap)].copy(),
-        stored=store_out[:n_stored].copy() if store else None,
-        overflow=overflow == 1,
-        store_overflow=overflow == 2,
-        backend="numba" if use_njit else "numpy",
+        n_spheres=n_sph,
+        n_missing=n_miss,
+        missing=np.concatenate(missing),
+        stored=np.concatenate(stored) if store else None,
+        overflow=overflow,
+        store_overflow=store and not overflow and n_sph > store_cap,
+        backend="numpy",
     )
 
 
@@ -348,11 +297,12 @@ def sample_spheres(F2: np.ndarray, shape: str, k: int, n_samples: int,
                    seed: int, max_tries: int | None = None) -> list[tuple[int, ...]]:
     """Seeded random sphere sampling with per-slot constraint propagation.
 
-    Returns a sorted, duplicate-free list of spheres; deterministic in
-    (seed, n_samples).
+    Each slot draws uniformly from its candidates, in increasing id order,
+    given the slots before it.  Returns a sorted, duplicate-free list of
+    spheres; deterministic in (seed, n_samples).
     """
-    slots, con_ptr, con_slot, col_new, col_prev = build_constraints(shape, k)
-    F2 = np.ascontiguousarray(F2, dtype=np.int32)
+    slots, *cons = build_constraints(shape, k)
+    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), *cons)
     if max_tries is None:
         max_tries = 20 * n_samples
     rng = np.random.RandomState(seed)
@@ -363,8 +313,7 @@ def sample_spheres(F2: np.ndarray, shape: str, k: int, n_samples: int,
         tries += 1
         dead = False
         for depth in range(slots):
-            cands = _candidates_np(F2, choice, con_ptr, con_slot,
-                                   col_new, col_prev, depth)
+            cands = index.candidates(depth, choice)
             if len(cands) == 0:
                 dead = True
                 break

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .complexes import Cell, GeneratorDecl, SkeletalComplex
 from .fillers import (
     Sphere,
@@ -297,7 +298,6 @@ def random_skeletal_complex(shape: str, n: int, seed: int,
         partial = SkeletalComplex(shape, d - 1, gens, truncation=truncation)
         tab = partial.tabulate(d - 1)
         layer = partial.cells_of_dim(d - 1)
-        from . import _kernels
         F2 = tab.faces[d - 1]
         for i in range(counts[d]):
             rows = _kernels.sample_spheres(F2, shape, d, 1, int(rng.randint(2 ** 31)),
@@ -370,6 +370,8 @@ def certify(shape: str, n: int, extra_complexes=(), seed: int = 0,
     """Certify the claimed bound on the built counterexample plus any
     extra complexes; for cyclic input also cross-check coskeletality
     against the underlying simplicial complex."""
+    _kernels.require_positive(budget_spheres=budget_spheres,
+                              budget_cells=budget_cells)
     upper = claimed_upper(shape, n)
     X, s = build_counterexample(shape, n, truncation)
     config = (("shape", shape), ("n", n), ("seed", seed),

@@ -6,8 +6,9 @@ Subcommands: ``normalize`` (canonical form of a morphism word),
 ``counterexample`` (emit a built counterexample file).
 
 Exit codes: 0 the claim holds / the sphere is filled; 1 a counterexample
-was found / the sphere has no filler; 2 usage or input error.  Outputs
-are pure functions of (arguments, input files, seed).
+was found / the sphere has no filler; 2 usage or input error, or an
+exceeded cell budget.  Outputs are pure functions of (arguments, input
+files, seed).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bounds, fileio, fillers, shapes
+from . import bounds, complexes, fileio, fillers, shapes
 
 
 def _shape_arg(p: argparse.ArgumentParser) -> None:
@@ -182,7 +183,8 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (fileio.ParseError, shapes.ShapeError, shapes.DomainError,
-            fillers.SphereError, ValueError, OSError) as exc:
+            fillers.SphereError, ValueError, OSError,
+            complexes.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,7 +164,3 @@ def load_complex(path: str) -> SkeletalComplex:
 def save_complex(X: SkeletalComplex, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_complex(X))
-
-
-def sphere_literal(s: Sphere) -> str:
-    return s.literal()

@@ -489,6 +489,8 @@ def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
     that overflows is re-checked on a seeded sample plus the boundaries of
     all its k-cells and marked as sampled (the report is then partial).
     """
+    _kernels.require_positive(budget_spheres=budget_spheres,
+                              budget_cells=budget_cells, samples=samples)
     if upper > X.truncation:
         raise TruncationError(f"window top {upper} exceeds truncation")
     if tab is None or tab.up_to < upper:

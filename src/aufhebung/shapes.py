@@ -566,16 +566,6 @@ def compose(f: ShapeMorphism, g: ShapeMorphism) -> ShapeMorphism:
     raise ShapeError(f"unknown morphism type {type(f)!r}")
 
 
-def compose_many(factors: list[ShapeMorphism]) -> ShapeMorphism:
-    """Compose a list of morphisms, rightmost applied first."""
-    if not factors:
-        raise ShapeError("cannot compose an empty list without a dimension")
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = compose(f, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # words
 

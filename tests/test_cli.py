@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from aufhebung.cli import main
 
 
@@ -157,3 +159,29 @@ def test_fill_reports_multiple_fillers(tmp_path, capsys):
                        "v[b1], v[b1], v[b1], v[b1]")
     assert code == 0
     assert "2 fillers" in out
+
+
+def test_cell_budget_exceeded_exit_2(tmp_path, capsys):
+    path = tmp_path / "ce.complex"
+    run(capsys, "counterexample", "--shape", "cubical", "--n", "2",
+        "--out", str(path))
+    code, out, err = run(capsys, "coskeletal", str(path), "--from", "4",
+                         "--to", "6", "--budget-cells", "2")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "exceed the budget of 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coskeletal", "{path}", "--from", "1", "--to", "2", "--budget-spheres", "0"],
+    ["coskeletal", "{path}", "--from", "1", "--to", "2", "--budget-cells", "-1"],
+    ["verify", "--shape", "cubical", "--n", "1", "--budget-spheres", "0"],
+    ["verify", "--shape", "cubical", "--n", "1", "--budget-cells", "0"],
+])
+def test_non_positive_budget_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "ce.complex"
+    run(capsys, "counterexample", "--shape", "cubical", "--n", "1",
+        "--out", str(path))
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be positive" in err

@@ -272,3 +272,20 @@ def test_sampled_mode_end_to_end():
     ok_rep = coskeletal_up_to(X, 2, 4, budget_spheres=3, seed=0, samples=40)
     assert ok_rep.partial and ok_rep.coskeletal
     assert all(l.coverage == "sampled" for l in ok_rep.levels)
+
+
+@pytest.mark.parametrize("limit", [
+    {"budget_spheres": 0}, {"budget_spheres": -1},
+    {"budget_cells": 0}, {"samples": 0}, {"samples": -5},
+])
+def test_coskeletal_rejects_non_positive_limits(limit):
+    X, _ = build_cubical_counterexample(1)
+    with pytest.raises(ValueError, match=f"{next(iter(limit))} must be positive"):
+        coskeletal_up_to(X, 1, 2, **limit)
+
+
+@pytest.mark.parametrize("limit", [{"budget_spheres": 0}, {"budget_cells": -2}])
+def test_certify_rejects_non_positive_limits(limit):
+    from aufhebung.bounds import certify
+    with pytest.raises(ValueError, match="must be positive"):
+        certify("cubical", 1, **limit)

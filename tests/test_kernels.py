@@ -1,7 +1,17 @@
-"""Backend parity: the njit kernels and the numpy fallback must agree."""
+"""Scan parity: the numpy join kernel against the pure-Python reference.
+
+The two implementations compared here are ``_kernels.scan_spheres`` /
+``_kernels.sample_spheres`` and the plain DFS in ``reference_scan.py``.
+"""
+
+import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_scan import reference_sample, reference_scan
 
 from aufhebung import _kernels
 from aufhebung.bounds import (
@@ -9,41 +19,24 @@ from aufhebung.bounds import (
     build_simplicial_counterexample,
     random_skeletal_complex,
 )
+from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex
+from aufhebung.fileio import serialize_complex
 from aufhebung.fillers import coskeletal_up_to
+from aufhebung.shapes import CubeMorphism
+
+SHAPES = ("simplicial", "cubical", "globular", "cyclic")
 
 
-def _scan_both(F2, B, shape, k, **kw):
-    res = {}
-    for flag in ("0", "1"):
-        with EnvFlag("AUFHEBUNG_NO_NUMBA", flag):
-            res[flag] = _kernels.scan_spheres(F2, B, shape, k, **kw)
-    return res["0"], res["1"]
-
-
-class EnvFlag:
-    def __init__(self, name, value):
-        self.name, self.value = name, value
-
-    def __enter__(self):
-        import os
-        self.old = os.environ.get(self.name)
-        os.environ[self.name] = self.value
-
-    def __exit__(self, *exc):
-        import os
-        if self.old is None:
-            os.environ.pop(self.name, None)
-        else:
-            os.environ[self.name] = self.old
-
-
-def test_backend_flag_selects():
-    import os
-    with EnvFlag("AUFHEBUNG_NO_NUMBA", "1"):
-        assert not _kernels.numba_enabled()
-    if _kernels.HAVE_NUMBA:
-        with EnvFlag("AUFHEBUNG_NO_NUMBA", "0"):
-            assert _kernels.numba_enabled()
+def assert_same_scan(got, want):
+    assert got.n_spheres == want.n_spheres
+    assert got.n_missing == want.n_missing
+    assert np.array_equal(got.missing, want.missing)
+    if want.stored is None:
+        assert got.stored is None
+    else:
+        assert np.array_equal(got.stored, want.stored)
+    assert got.overflow == want.overflow
+    assert got.store_overflow == want.store_overflow
 
 
 @pytest.mark.parametrize("builder,shape,top", [
@@ -55,40 +48,100 @@ def test_backends_identical(builder, shape, top):
     X = builder()
     tab = X.tabulate(top)
     for k in range(1, top + 1):
-        njit_res, np_res = _scan_both(tab.faces[k - 1], tab.faces[k], shape, k,
-                                      budget=10 ** 6, miss_cap=32,
-                                      store=True, store_cap=5000)
-        assert njit_res.n_spheres == np_res.n_spheres
-        assert njit_res.n_missing == np_res.n_missing
-        assert np.array_equal(njit_res.missing, np_res.missing)
-        assert np.array_equal(njit_res.stored, np_res.stored)
-        assert njit_res.overflow == np_res.overflow
+        kw = dict(budget=10 ** 6, miss_cap=32, store=True, store_cap=5000)
+        F2, B = tab.faces[k - 1], tab.faces[k]
+        assert_same_scan(_kernels.scan_spheres(F2, B, shape, k, **kw),
+                         reference_scan(F2, B, shape, k, **kw))
 
 
 def test_backends_identical_on_budget_overflow():
     X = build_cubical_counterexample(1)[0]
     tab = X.tabulate(2)
-    a, b = _scan_both(tab.faces[1], tab.faces[2], "cubical", 2,
-                      budget=10, miss_cap=4)
+    kw = dict(budget=10, miss_cap=4)
+    a = _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2, **kw)
+    b = reference_scan(tab.faces[1], tab.faces[2], "cubical", 2, **kw)
     assert a.overflow and b.overflow
     assert a.n_spheres == b.n_spheres == 10
-    assert np.array_equal(a.missing, b.missing)
+    assert_same_scan(a, b)
+
+
+def test_blocks_split_inside_a_bucket():
+    # one vertex and 4 loops: every slot of a cubical 2-sphere ranges over
+    # all 5 one-cells, 625 spheres; tiny blocks cut each range mid-way
+    v = Cell("v", CubeMorphism.identity(0))
+    X = SkeletalComplex("cubical", 1, [GeneratorDecl("v", 0, ())] + [
+        GeneratorDecl(f"e{i}", 1, (v, v)) for i in range(4)], truncation=2)
+    tab = X.tabulate(2)
+    F2, B = tab.faces[1], tab.faces[2]
+    for kw in (dict(budget=10 ** 6, miss_cap=700),
+               dict(budget=600, miss_cap=50, store=True, store_cap=300)):
+        want = reference_scan(F2, B, "cubical", 2, **kw)
+        for block in (1, 2, 7, 64):
+            with mock.patch.object(_kernels, "BLOCK", block):
+                got = _kernels.scan_spheres(F2, B, "cubical", 2, **kw)
+            assert_same_scan(got, want)
+    assert want.overflow and want.n_spheres == 600 and want.store_overflow is False
 
 
 def test_reports_identical_across_backends():
     X = random_skeletal_complex("simplicial", 2, seed=11)
-    outs = []
-    for flag in ("0", "1"):
-        with EnvFlag("AUFHEBUNG_NO_NUMBA", flag):
-            rep = coskeletal_up_to(X, 3, 6)
-            d = rep.to_dict()
-            for lv in d["levels"]:
-                lv.pop("backend", None)
-            outs.append(rep.to_json())
-    # reports are byte-identical apart from the backend tag
-    import json
-    d0, d1 = json.loads(outs[0]), json.loads(outs[1])
-    assert d0 == d1
+    got = coskeletal_up_to(X, 3, 6).to_json()
+    with mock.patch.object(_kernels, "scan_spheres", reference_scan):
+        want = coskeletal_up_to(X, 3, 6).to_json()
+    assert got == want
+
+
+@st.composite
+def scan_inputs(draw):
+    """A random face table, boundary table and caps for one sphere shape."""
+    shape = draw(st.sampled_from(SHAPES))
+    k = draw(st.integers(1, 4))
+    slots, _, _, col_new, col_prev = _kernels.build_constraints(shape, k)
+    width = 1 + int(max(col_new.max(), col_prev.max())) if len(col_new) else 0
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 3))
+    F2 = np.array(draw(st.lists(st.lists(st.integers(0, m - 1), min_size=width,
+                                         max_size=width),
+                                min_size=n, max_size=n)),
+                  dtype=np.int32).reshape(n, width)
+    spheres = reference_scan(F2, np.zeros((0, slots), np.int32), shape, k,
+                             budget=400, store=True, store_cap=400).stored
+    filled = [spheres[i] for i in draw(st.lists(
+        st.integers(0, len(spheres) - 1), max_size=6))] if len(spheres) else []
+    noise = draw(st.lists(st.lists(st.integers(0, max(n - 1, 0)), min_size=slots,
+                                   max_size=slots), max_size=4)) if n else []
+    B = np.array([list(r) for r in filled] + noise,
+                 dtype=np.int32).reshape(-1, slots)
+    kw = dict(budget=draw(st.integers(1, 450)),
+              miss_cap=draw(st.integers(0, 20)),
+              store=draw(st.booleans()),
+              store_cap=draw(st.integers(0, 40)))
+    return F2, B, shape, k, kw
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs(), st.sampled_from([1, 3, 16, _kernels.BLOCK]))
+def test_scan_matches_reference(inputs, block):
+    F2, B, shape, k, kw = inputs
+    want = reference_scan(F2, B, shape, k, **kw)
+    with mock.patch.object(_kernels, "BLOCK", block):
+        got = _kernels.scan_spheres(F2, B, shape, k, **kw)
+    assert_same_scan(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_inputs(), st.integers(1, 30), st.integers(0, 2 ** 31 - 1))
+def test_sample_matches_reference(inputs, n_samples, seed):
+    F2, _, shape, k, _ = inputs
+    assert (_kernels.sample_spheres(F2, shape, k, n_samples, seed)
+            == reference_sample(F2, shape, k, n_samples, seed))
+
+
+def test_scan_rejects_non_positive_budget():
+    F2 = np.zeros((2, 0), np.int32)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            _kernels.scan_spheres(F2, F2, "simplicial", 1, budget=budget)
 
 
 def test_sampled_spheres_deterministic():
@@ -104,6 +157,57 @@ def test_sampled_spheres_deterministic():
                                  budget=10 ** 6, store=True, store_cap=10 ** 4)
     all_rows = {tuple(map(int, r)) for r in full.stored}
     assert set(a) <= all_rows
+
+
+# sha256 of serialize_complex(random_skeletal_complex(shape, n, seed)), as
+# the sampler produced them before it drew from the bucket index: random
+# complexes, and every benchmark and test input built from them, must not
+# change when the scan kernel does
+RANDOM_COMPLEX_SHA256 = {
+    ('simplicial', 1, 0): '6dc9bf4b6513bf2b1bc81ac3eae6615a811712f8f11c5c93b2092fe5876e3da2',
+    ('simplicial', 1, 7): '9498f82863f66bc96d47d12eb11256b0220752992951d014e593412c301d7b90',
+    ('simplicial', 1, 401): 'b022e0946db54764356b32be7ccf9ac756277c68e3824d2963dc127cac8ff9b9',
+    ('simplicial', 2, 0): '78b68722ded2e1791138d9e169f4c54e99877f72d217fbdb857e429c25f748dd',
+    ('simplicial', 2, 7): 'f0079db158c2a4929f5757337cc9c95a299503405fa376d1430fbbe80bd89ae9',
+    ('simplicial', 2, 401): '5308d7275e5b087fced37d6dde0dfb8b6029ffcb85d39c041ddb6494adb4c8ba',
+    ('simplicial', 3, 0): 'd56b7a746b03fc4b08006bc7146a95b7f2a82887146092b3e61b9239c9843655',
+    ('simplicial', 3, 7): '26e5a3db7395e8207b0ec7f1dab65b8f15e49d32dca5aa193b01830b4b023cfc',
+    ('simplicial', 3, 401): '5a14c379ad5af8159165e14cb8517193725eeea2db4bc5980e50cdfda095208c',
+    ('cubical', 1, 0): '800b2ad6d44a6ed02963615d646e1d35f29cef0bc898adc7aba72530ecb42b53',
+    ('cubical', 1, 7): '2112c1815a9b30b99d2f909a3ff4867059bff9140bee1569a388d15f67cef9d7',
+    ('cubical', 1, 401): 'caa5f7ddd8b81c5b7fc56c8fb6b012e948f38674bd02a682e737c0a385dbdd0a',
+    ('cubical', 2, 0): 'a3271ff36f7e63b3c1136cf2b2f58077f79808af1924cec233a1df2bd3b3c327',
+    ('cubical', 2, 7): '146935f57030b2d97da55aaf64bb97d3eacb3b2cf4474cd83b6ec1934ad9b8a3',
+    ('cubical', 2, 401): '4ac6205952233cd6582ba3f773d10b4e56ecf5aea50eca978aca051cc2015254',
+    ('cubical', 3, 0): 'ae759934cc74412cff6e122e7115e565ae307c1609ffc29ed6cf79524de2b6a3',
+    ('cubical', 3, 7): '182deae860eec78740b490ef3fd043a22ee0ee18b9968bc468a33abf57bb8985',
+    ('cubical', 3, 401): '9b7011ae59edea3052106da8a344ef78838ca3176f1fad20ab3da0212c3aa5a1',
+    ('globular', 1, 0): '9e07fb5dcc21ffbff18557d9ab884ad900254ea67f35898e537af77f1ef0e340',
+    ('globular', 1, 7): '04807867b9158c1380ff0f711192eeed5cb57f793f9464c57ee6c7ca0789a0cd',
+    ('globular', 1, 401): '37f3b5f7874a2c015ff70ff26dffde15fee4cddc59025ff3e48f351436a5ace9',
+    ('globular', 2, 0): '32a1ed5ef9e3d147b2f1d339b2dd9de9349e86f2438f26b072218f7dc9377b9a',
+    ('globular', 2, 7): '7fc9543785fd1f3d5ab03da1c75dd45fe0e8f4b10010ae3fd173988131e9f30d',
+    ('globular', 2, 401): '09aba1b61f76d32eb169917c88cbd7ff876b595dc68c5550ec2b33a5b6e2e83f',
+    ('globular', 3, 0): 'ef042660ead44570fcd3ece98c1a8962d93ce762525e66b192eddc6004880adf',
+    ('globular', 3, 7): 'c1cb88d8a0b5590f002e0d3b5dd11e0b29cf72f354caec4ad8db1352322c51bb',
+    ('globular', 3, 401): 'aaac178246805d12f0e3526e66b0e835585a41beae96f00eaa2691bc3e1f9f09',
+    ('cyclic', 1, 0): '32df100b99656db592e1c2291a666a034e4f22392f771bfd9df0c1edc0803863',
+    ('cyclic', 1, 7): 'a1acdd932afa0f253a1399543d923fd8eacb4d610080e86e4bea4b5c5f1ef152',
+    ('cyclic', 1, 401): 'd46f747c3211ca2cfa871182840d463c69cabf4f61cf3ea5909c6fb89739aa15',
+    ('cyclic', 2, 0): 'f0ab09f9055e616718176e148eb35ab7ad06837e5fcc154f73b15d8f32c9f59c',
+    ('cyclic', 2, 7): 'a95a62ba77485b908ab31e097d9032f35c97962c28cef66cc0f1b8832fb17be8',
+    ('cyclic', 2, 401): 'ea652247daa4de74217a85c5365dc792b3ca9a5bf2b09258d9ab86c76ca56ad7',
+    ('cyclic', 3, 0): 'd36f63f2f0e5d2baec5d8ed3ad03c53cbb0cc872f6ea9b29b786d116e0dd7179',
+    ('cyclic', 3, 7): '485bf49c01156c88fcf392df7b339446bb585c26bdabded35e82fa0b31d6054d',
+    ('cyclic', 3, 401): '7ab82b666c5943be958950ad9ce6b603ee7b779db0506c2d10444fd5a41ba8b8',
+}
+
+
+def test_random_complexes_unchanged():
+    got = {key: hashlib.sha256(serialize_complex(
+        random_skeletal_complex(*key)).encode()).hexdigest()
+        for key in RANDOM_COMPLEX_SHA256}
+    assert got == RANDOM_COMPLEX_SHA256
 
 
 def test_duplicate_row_groups():
