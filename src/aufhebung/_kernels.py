@@ -5,7 +5,7 @@ against earlier slots by cycle equations of the form
 
     F2[new, col_new] == F2[prev, col_prev]
 
-encoded in CSR-style arrays by :func:`build_constraints`.  Enumerating the
+listed per slot by :func:`build_constraints`.  Enumerating the
 spheres is a conjunctive query over the face table ``F2``, each equation an
 equi-join predicate.  :func:`scan_spheres` answers it with one numpy kernel
 that extends a frontier of partial spheres slot by slot:
@@ -50,54 +50,28 @@ def require_positive(**limits: int) -> None:
 # constraint tables
 
 
-def build_constraints(shape: str, k: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Slot count and CSR constraint arrays for k-spheres of a shape.
+def build_constraints(shape: str, k: int) -> list[list[tuple[int, int, int]]]:
+    """The cycle equations of a k-sphere, one list per slot.
 
-    Returns (slots, con_ptr, con_slot, col_new, col_prev) where the
-    constraints for the cell at slot d are the entries
-    con_ptr[d]..con_ptr[d+1].
+    Slot d's entry ``(prev, col_new, col_prev)`` is the equation
+    ``F2[cell at d, col_new] == F2[cell at prev, col_prev]``, with prev < d
+    and columns indexing the elementary faces of a (k-1)-cell in the slot
+    order of :meth:`SkeletalComplex.face_maps`.  This is the package's only
+    statement of the equations.
     """
-    entries: list[list[tuple[int, int, int]]] = []
     if shape in ("simplicial", "cyclic"):
-        slots = k + 1
-        for j in range(slots):
-            row = []
-            if k >= 2:
-                for i in range(j):
-                    row.append((i, i, j - 1))
-            entries.append(row)
-    elif shape == "cubical":
-        slots = 2 * k
-        for j in range(1, k + 1):
-            for io in (0, 1):
-                row = []
-                if k >= 2:
-                    for i in range(1, j):
-                        for up in (0, 1):
-                            row.append((2 * (i - 1) + up,
-                                        2 * (i - 1) + up,
-                                        2 * (j - 2) + io))
-                entries.append(row)
-    elif shape == "globular":
-        slots = 2
-        row = []
-        if k >= 2:
-            row = [(0, 0, 0), (0, 1, 1)]
-        entries = [[], row]
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
-
-    con_ptr = np.zeros(slots + 1, dtype=np.int32)
-    flat: list[tuple[int, int, int]] = []
-    for d, row in enumerate(entries):
-        flat.extend(row)
-        con_ptr[d + 1] = len(flat)
-    if flat:
-        arr = np.array(flat, dtype=np.int32)
-        con_slot, col_new, col_prev = arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
-    else:
-        con_slot = col_new = col_prev = np.zeros(0, dtype=np.int32)
-    return slots, con_ptr, con_slot, col_new, col_prev
+        # c_j d_i == c_i d_(j-1) for i < j
+        return [[(i, i, j - 1) for i in range(j)] if k >= 2 else []
+                for j in range(k + 1)]
+    if shape == "cubical":
+        # c^io_j a^up_i == c^up_i a^io_(j-1) for i < j
+        return [[(2 * (i - 1) + up, 2 * (i - 1) + up, 2 * (j - 2) + io)
+                 for i in range(1, j) for up in (0, 1)] if k >= 2 else []
+                for j in range(1, k + 1) for io in (0, 1)]
+    if shape == "globular":
+        # source and target are parallel
+        return [[], [(0, 0, 0), (0, 1, 1)] if k >= 2 else []]
+    raise ValueError(f"unknown shape {shape!r}")
 
 
 def duplicate_row_groups(B: np.ndarray) -> list[np.ndarray]:
@@ -135,16 +109,13 @@ def find_fillers(B: np.ndarray, row: np.ndarray) -> np.ndarray:
 class _JoinIndex:
     """Bucket index of ``F2`` for the cycle equations of one sphere shape."""
 
-    def __init__(self, F2: np.ndarray, con_ptr, con_slot, col_new, col_prev):
+    def __init__(self, F2: np.ndarray, cons: list[list[tuple[int, int, int]]]):
         self.F2 = F2
         self.n = F2.shape[0]
-        # per slot: (earlier slot, column of the new cell, column of the earlier cell)
-        self.cons = [list(zip(con_slot[a:b].tolist(), col_new[a:b].tolist(),
-                              col_prev[a:b].tolist()))
-                     for a, b in zip(con_ptr[:-1].tolist(), con_ptr[1:].tolist())]
+        self.cons = cons
         self.order: dict[int, np.ndarray] = {}
         self.keys: dict[int, np.ndarray] = {}
-        for c in set(col_new.tolist()):
+        for c in {c_new for row in cons for _, c_new, _ in row}:
             # stable, so every bucket lists its cell ids in increasing order
             order = np.argsort(F2[:, c], kind="stable").astype(np.int32)
             self.order[c] = order
@@ -249,8 +220,9 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     require_positive(budget=budget)
     if miss_cap < 0 or store_cap < 0:
         raise ValueError("witness and store caps must not be negative")
-    slots, *cons = build_constraints(shape, k)
-    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), *cons)
+    cons = build_constraints(shape, k)
+    slots = len(cons)
+    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
     in_B = _row_set(B, slots)
     empty = np.zeros((0, slots), dtype=np.int32)
     missing, stored = [empty], [empty]
@@ -301,8 +273,9 @@ def sample_spheres(F2: np.ndarray, shape: str, k: int, n_samples: int,
     given the slots before it.  Returns a sorted, duplicate-free list of
     spheres; deterministic in (seed, n_samples).
     """
-    slots, *cons = build_constraints(shape, k)
-    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), *cons)
+    cons = build_constraints(shape, k)
+    slots = len(cons)
+    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
     if max_tries is None:
         max_tries = 20 * n_samples
     rng = np.random.RandomState(seed)

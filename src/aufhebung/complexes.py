@@ -12,8 +12,7 @@ cell's epimorphism, splits off the mono part, and pushes the mono into
 the generator's attaching data recursively.
 
 :class:`TabulatedPresheaf` materialises all cells up to a dimension with
-integer ids and dense face/degeneracy tables; it serves both as the fast
-backend for sphere search and as an independent oracle representation.
+integer ids and dense face tables, the input of the sphere scan.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shapes
+from ._kernels import build_constraints
 from .shapes import (
     CubeMorphism,
     CyclicMorphism,
@@ -204,44 +204,20 @@ class SkeletalComplex:
             if any(v.generator == name for v in problems):
                 seen.add(name)
                 continue
-            problems.extend(self._cycle_violations(name, g.dim, g.faces))
+            problems.extend(Violation(name, "cycle", why)
+                            for why in self.cycle_violations(g.faces, g.dim))
             seen.add(name)
         return ValidationReport(not problems, tuple(problems))
 
-    def _cycle_violations(self, name: str, dim: int, faces: tuple[Cell, ...]):
-        problems = []
-        if dim < 2:
-            return problems
-        if self.shape in ("simplicial", "cyclic"):
-            for j in range(dim + 1):
-                for i in range(j):
-                    lhs = self.act(faces[j], self._delta(i, dim - 2))
-                    rhs = self.act(faces[i], self._delta(j - 1, dim - 2))
-                    if lhs != rhs:
-                        problems.append(Violation(
-                            name, "cycle",
-                            f"c_{j} d_{i} = {lhs!r} but c_{i} d_{j - 1} = {rhs!r}"))
-        elif self.shape == "cubical":
-            for j in range(1, dim + 1):
-                for i in range(1, j):
-                    for io in (0, 1):
-                        for up in (0, 1):
-                            lhs = self.act(faces[2 * (j - 1) + io],
-                                           CubeMorphism.face(i, up, dim - 1))
-                            rhs = self.act(faces[2 * (i - 1) + up],
-                                           CubeMorphism.face(j - 1, io, dim - 1))
-                            if lhs != rhs:
-                                problems.append(Violation(
-                                    name, "cycle",
-                                    f"c^{io}_{j} a{up}@{i} != c^{up}_{i} a{io}@{j - 1}"))
-        elif self.shape == "globular":
-            src, tgt = faces
-            for gen in ("sig", "tau"):
-                m = GlobeMorphism.generator(gen, dim - 2)
-                if self.act(src, m) != self.act(tgt, m):
-                    problems.append(Violation(
-                        name, "cycle", f"source and target disagree on {gen}"))
-        return problems
+    def cycle_violations(self, faces: tuple[Cell, ...], k: int):
+        """Yield, in order, each cycle equation of a k-sphere that ``faces``
+        break, as ``c_<slot> d_<column> != c_<slot> d_<column>`` with the
+        columns indexing :meth:`face_maps` of dimension k - 1."""
+        fmaps = self.face_maps(k - 1) if k >= 2 else []
+        for new, row in enumerate(build_constraints(self.shape, k)):
+            for prev, a, b in row:
+                if self.act(faces[new], fmaps[a]) != self.act(faces[prev], fmaps[b]):
+                    yield f"c_{new} d_{a} != c_{prev} d_{b}"
 
     def _delta(self, i: int, n: int):
         d = SimplexMorphism.face(i, n + 1)
@@ -315,13 +291,6 @@ class SkeletalComplex:
 
     def dgn(self, cell: Cell) -> int:
         return cell.dim - cell.generator_dim
-
-    def _delta_like(self, i: int, n: int, sign: int = 0):
-        if self.shape in ("simplicial", "cyclic"):
-            return self._delta(i, n - 1)
-        if self.shape == "cubical":
-            return CubeMorphism.face(i, sign, n)
-        return GlobeMorphism.generator("sig" if sign == 0 else "tau", n - 1)
 
     def reduces(self, cell: Cell, i: int) -> bool:
         """Does the i-face drop the degeneracy by one?"""
@@ -427,13 +396,13 @@ class SkeletalComplex:
 
 @dataclass
 class TabulatedPresheaf:
-    """Dense tables for all cells of a complex up to a dimension.
+    """Dense face tables for all cells of a complex up to a dimension.
 
+    ``cells[k]`` lists the k-cells, so a cell's id is its position there,
+    and ``index`` maps each cell to its (dimension, id) pair.
     ``faces[k]`` is an int32 array of shape (N_k, slots) giving the id of
     each elementary face of each k-cell, in the sphere slot order of
-    :meth:`SkeletalComplex.face_maps`.  ``degens[k]`` likewise tabulates
-    the elementary degeneracies into dimension k + 1, and for cyclic
-    complexes ``rotations[k]`` tabulates the basic rotation of each layer.
+    :meth:`SkeletalComplex.face_maps`.
     """
 
     complex: SkeletalComplex
@@ -441,8 +410,6 @@ class TabulatedPresheaf:
     cells: list[list[Cell]]
     index: dict[Cell, tuple[int, int]]
     faces: list[np.ndarray]
-    degens: list[np.ndarray]
-    rotations: list[np.ndarray]
 
     @classmethod
     def build(cls, X: SkeletalComplex, up_to: int,
@@ -462,8 +429,6 @@ class TabulatedPresheaf:
                 index[c] = (k, j)
             cells.append(layer)
         faces: list[np.ndarray] = []
-        degens: list[np.ndarray] = []
-        rotations: list[np.ndarray] = []
         for k in range(up_to + 1):
             layer = cells[k]
             fmaps = X.face_maps(k) if k >= 1 else []
@@ -472,24 +437,7 @@ class TabulatedPresheaf:
                 for s, fm in enumerate(fmaps):
                     table[j, s] = index[X.act(c, fm)][1]
             faces.append(table)
-            if k + 1 <= up_to:
-                dmaps = X.degeneracy_maps(k)
-                dtable = np.empty((len(layer), len(dmaps)), dtype=np.int32)
-                for j, c in enumerate(layer):
-                    for s, dm in enumerate(dmaps):
-                        dtable[j, s] = index[X.act(c, dm)][1]
-                degens.append(dtable)
-            else:
-                degens.append(np.empty((len(layer), 0), dtype=np.int32))
-            if X.shape == "cyclic":
-                rot = CyclicMorphism.rotation_map(k)
-                rtable = np.empty(len(layer), dtype=np.int32)
-                for j, c in enumerate(layer):
-                    rtable[j] = index[X.act(c, rot)][1]
-                rotations.append(rtable)
-            else:
-                rotations.append(np.empty(0, dtype=np.int32))
-        return cls(X, up_to, cells, index, faces, degens, rotations)
+        return cls(X, up_to, cells, index, faces)
 
     @property
     def shape(self) -> str:
@@ -498,171 +446,3 @@ class TabulatedPresheaf:
     def cell_id(self, cell: Cell) -> int:
         k, j = self.index[cell]
         return j
-
-    def nondegenerate_ids(self, k: int) -> set[int]:
-        """Ids of k-cells that are not hit by any elementary degeneracy."""
-        hit: set[int] = set()
-        if k >= 1:
-            hit.update(int(v) for v in self.degens[k - 1].ravel())
-        out = set(range(len(self.cells[k]))) - hit
-        return out
-
-    def act_by_epi(self, cell_id: int, k: int, epi: ShapeMorphism) -> int:
-        """Act on a tabulated k-cell by a canonical epi, tables only.
-
-        The epi's elementary degeneracies are applied outermost first (the
-        ascending canonical word read left to right); a cyclic rotation,
-        which is applied first in the morphism, acts last on the cell at
-        the top dimension.
-        """
-        cur, dim = cell_id, k
-        if self.shape == "cyclic":
-            word = epi.delta_part.epis
-            rot = epi.rotation
-        elif self.shape == "simplicial":
-            word, rot = epi.epis, 0
-        elif self.shape == "cubical":
-            word, rot = epi.deletes, 0
-        else:
-            word, rot = ("iot",) * (epi.dom - epi.cod), 0
-        for j in word:
-            if self.shape == "simplicial" or self.shape == "cyclic":
-                col = j
-            elif self.shape == "cubical":
-                col = j - 1
-            else:
-                col = 0
-            cur = int(self.degens[dim][cur, col])
-            dim += 1
-        if dim != epi.dom:
-            raise ComplexError("epi word length does not match its dimensions")
-        for _ in range(rot):
-            cur = int(self.rotations[dim][cur])
-        return cur
-
-    def ez_decompose_tabulated(self, cell_id: int, k: int) -> list[tuple[int, int, ShapeMorphism]]:
-        """All (dim, id, epi) triples with nondegenerate core reproducing the cell.
-
-        Found by exhaustive search over lower cells and canonical epis; a
-        plain shape has exactly one, the cyclic category one per rotation
-        of the core.
-        """
-        out = []
-        for m in range(k + 1):
-            nondeg = self.nondegenerate_ids(m)
-            for eps in enumerate_epis(k, m, self.shape):
-                for y in sorted(nondeg):
-                    if self.act_by_epi(y, m, eps) == cell_id:
-                        out.append((m, y, eps))
-        return out
-
-    def verify_tables(self) -> list[str]:
-        """Check every defining relation of the shape category on the
-        tables alone, instance by instance; returns the violations."""
-        bad: list[str] = []
-
-        def note(k, x, what):
-            bad.append(f"dim {k} cell {x}: {what}")
-
-        F, D, R = self.faces, self.degens, self.rotations
-        for k in range(self.up_to + 1):
-            n_cells = len(self.cells[k])
-            for x in range(n_cells):
-                if self.shape in ("simplicial", "cyclic"):
-                    self._verify_ordinal_row(k, x, F, D, note)
-                    if self.shape == "cyclic":
-                        self._verify_cyclic_row(k, x, F, D, R, note)
-                elif self.shape == "cubical":
-                    self._verify_cubical_row(k, x, F, D, note)
-                else:
-                    self._verify_globular_row(k, x, F, D, note)
-        return bad
-
-    def _verify_ordinal_row(self, k, x, F, D, note):
-        for j in range(k + 1):
-            for i in range(j):
-                if k >= 2 and F[k - 1][F[k][x, j], i] != F[k - 1][F[k][x, i], j - 1]:
-                    note(k, x, f"d{j} d{i} relation fails")
-        if k + 2 <= self.up_to:
-            for j in range(k + 1):
-                for i in range(j + 1):
-                    if D[k + 1][D[k][x, j], i] != D[k + 1][D[k][x, i], j + 1]:
-                        note(k, x, f"s{j} s{i} relation fails")
-        if k + 1 <= self.up_to:
-            for j in range(k + 1):
-                for i in range(k + 2):
-                    got = F[k + 1][D[k][x, j], i]
-                    if i < j:
-                        want = D[k - 1][F[k][x, i], j - 1]
-                    elif i in (j, j + 1):
-                        want = x
-                    else:
-                        want = D[k - 1][F[k][x, i - 1], j]
-                    if got != want:
-                        note(k, x, f"s{j} d{i} relation fails")
-
-    def _verify_cubical_row(self, k, x, F, D, note):
-        for j in range(1, k + 1):
-            for i in range(1, j):
-                for io in (0, 1):
-                    for up in (0, 1):
-                        if k >= 2 and F[k - 1][F[k][x, 2 * (j - 1) + io], 2 * (i - 1) + up] != \
-                                F[k - 1][F[k][x, 2 * (i - 1) + up], 2 * (j - 2) + io]:
-                            note(k, x, f"a@{j} a@{i} relation fails")
-        if k + 2 <= self.up_to:
-            for j in range(1, k + 2):
-                for i in range(1, j + 1):
-                    if D[k + 1][D[k][x, j - 1], i - 1] != \
-                            D[k + 1][D[k][x, i - 1], j]:
-                        note(k, x, f"b{j} b{i} relation fails")
-        if k + 1 <= self.up_to:
-            for j in range(1, k + 2):
-                for i in range(1, k + 2):
-                    for sign in (0, 1):
-                        got = F[k + 1][D[k][x, j - 1], 2 * (i - 1) + sign]
-                        if i < j:
-                            want = D[k - 1][F[k][x, 2 * (i - 1) + sign], j - 2]
-                        elif i == j:
-                            want = x
-                        else:
-                            want = D[k - 1][F[k][x, 2 * (i - 2) + sign], j - 1]
-                        if got != want:
-                            note(k, x, f"b{j} a{sign}@{i} relation fails")
-
-    def _verify_globular_row(self, k, x, F, D, note):
-        if k + 1 <= self.up_to:
-            up = D[k][x, 0]
-            for col in (0, 1):
-                if F[k + 1][up, col] != x:
-                    note(k, x, "iot section relation fails")
-        if k >= 2:
-            src, tgt = F[k][x, 0], F[k][x, 1]
-            for col in (0, 1):
-                # tau.sig = sig.sig and tau.tau = sig.tau collapse to:
-                # both faces of a face agree with the matching face's face
-                if F[k - 1][src, col] != F[k - 1][tgt, col]:
-                    note(k, x, "glob faces are not parallel")
-
-    def _verify_cyclic_row(self, k, x, F, D, R, note):
-        # with the rotation t: p -> p + 1 the presentation reads
-        # t^(k+1) = id, t.d_i = d_(i+1).t (i < k), t.d_k = d_0,
-        # t.s_i = s_(i+1).t (i < k), t.s_k = sx.t, sx = s_0.t
-        cur = x
-        for _ in range(k + 1):
-            cur = R[k][cur]
-        if cur != x:
-            note(k, x, "rotation order exceeds k + 1")
-        if k >= 1:
-            for i in range(k):
-                if F[k][R[k][x], i] != R[k - 1][F[k][x, i + 1]]:
-                    note(k, x, f"t d{i} relation fails")
-            if F[k][R[k][x], k] != F[k][x, 0]:
-                note(k, x, f"t d{k} relation fails")
-        if k + 1 <= self.up_to:
-            if D[k][x, k + 1] != R[k + 1][D[k][x, 0]]:
-                note(k, x, "wrap-around degeneracy relation fails")
-            for i in range(k):
-                if D[k][R[k][x], i] != R[k + 1][D[k][x, i + 1]]:
-                    note(k, x, f"t s{i} relation fails")
-            if D[k][R[k][x], k] != R[k + 1][D[k][x, k + 1]]:
-                note(k, x, f"t s{k} relation fails")

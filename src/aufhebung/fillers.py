@@ -26,7 +26,6 @@ from . import _kernels
 from .complexes import Cell, SkeletalComplex, TabulatedPresheaf, TruncationError
 from .shapes import (
     CubeMorphism,
-    CyclicMorphism,
     GlobeMorphism,
     SimplexMorphism,
 )
@@ -89,40 +88,9 @@ def make_sphere(X: SkeletalComplex, faces, k: int | None = None) -> Sphere:
 
 
 def is_sphere(X: SkeletalComplex, s: Sphere) -> tuple[bool, str | None]:
-    """Check the cycle equations; on failure name the first violated pair."""
-    k = s.k
-    c = s.faces
-    if k < 2:
-        return True, None
-    if X.shape in ("simplicial", "cyclic"):
-        for j in range(k + 1):
-            for i in range(j):
-                lhs = X.act(c[j], _dl(X, i, k - 2))
-                rhs = X.act(c[i], _dl(X, j - 1, k - 2))
-                if lhs != rhs:
-                    return False, f"c_{j} d_{i} != c_{i} d_{j - 1}"
-        return True, None
-    if X.shape == "cubical":
-        for j in range(2, k + 1):
-            for i in range(1, j):
-                for io in (0, 1):
-                    for up in (0, 1):
-                        lhs = X.act(c[2 * (j - 1) + io], CubeMorphism.face(i, up, k - 1))
-                        rhs = X.act(c[2 * (i - 1) + up], CubeMorphism.face(j - 1, io, k - 1))
-                        if lhs != rhs:
-                            return False, f"c^{io}_{j} a{up}@{i} != c^{up}_{i} a{io}@{j - 1}"
-        return True, None
-    src, tgt = c
-    for gen in ("sig", "tau"):
-        m = GlobeMorphism.generator(gen, k - 2)
-        if X.act(src, m) != X.act(tgt, m):
-            return False, f"faces are not parallel at {gen}"
-    return True, None
-
-
-def _dl(X: SkeletalComplex, i: int, n: int):
-    d = SimplexMorphism.face(i, n + 1)
-    return CyclicMorphism.from_simplex(d) if X.shape == "cyclic" else d
+    """Check the cycle equations; on failure name the first violated one."""
+    why = next(X.cycle_violations(s.faces, s.k), None)
+    return why is None, why
 
 
 def boundary(X: SkeletalComplex, cell: Cell) -> Sphere:
@@ -281,12 +249,13 @@ def constructive_filler_simplicial(X: SkeletalComplex, s: Sphere,
     filler = X.act(cm, SimplexMorphism.degeneracy(m, k))
     # the r + 2 faces forced to be degenerate copies of c_m
     forced = {m} | {j + 1 for j in M} | {l + 1}
+    fmaps = X.face_maps(k)
     for u in sorted(forced):
         cu = s.faces[u]
         if X.dgn(cu) != r:
             raise AlgorithmViolation(f"face {u} should attain the minimal"
                                      f" degeneracy {r}, has {X.dgn(cu)}")
-        if cu != X.act(filler, _dl(X, u, k - 1)):
+        if cu != X.act(filler, fmaps[u]):
             raise AlgorithmViolation(f"face {u} is not the forced degenerate"
                                      f" copy of the minimal face")
     lines: list[str] = []

@@ -1,10 +1,15 @@
-"""Pure-Python reference for the sphere kernels in ``aufhebung._kernels``.
+"""Pure-Python references for the sphere kernels in ``aufhebung._kernels``.
 
 A plain depth-first search over the face table, one candidate cell at a
 time, written from the definition: slot ``d`` of a sphere may hold any
 cell ``y`` with ``F2[y, col_new] == F2[prev, col_prev]`` for every cycle
 equation of slot ``d``.  The tests compare the numpy join kernel against
-it; it is not used by the package.
+it.
+
+:func:`reference_is_sphere` states the cycle equations a second time, by
+hand and through ``X.act``, so that ``build_constraints`` and the kernel
+are checked against a statement that does not come from it.  None of this
+is used by the package.
 """
 
 from itertools import islice
@@ -12,13 +17,12 @@ from itertools import islice
 import numpy as np
 
 from aufhebung._kernels import SphereScan, build_constraints
-
-
-def _equations(shape, k):
-    slots, con_ptr, con_slot, col_new, col_prev = build_constraints(shape, k)
-    return [[(int(con_slot[e]), int(col_new[e]), int(col_prev[e]))
-             for e in range(con_ptr[d], con_ptr[d + 1])]
-            for d in range(slots)]
+from aufhebung.shapes import (
+    CubeMorphism,
+    CyclicMorphism,
+    GlobeMorphism,
+    SimplexMorphism,
+)
 
 
 def _candidates(F, eqs, prefix):
@@ -38,7 +42,7 @@ def _spheres(F, eqs, prefix=()):
 def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16,
                    store=False, store_cap=0):
     """The result ``scan_spheres`` must return, found by plain DFS."""
-    eqs = _equations(shape, k)
+    eqs = build_constraints(shape, k)
     F = np.asarray(F2).tolist()
     filled = {tuple(row) for row in np.asarray(B).tolist()}
     found = list(islice(_spheres(F, eqs), budget + 1))
@@ -63,7 +67,7 @@ def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16,
 def reference_sample(F2, shape, k, n_samples, seed, max_tries=None):
     """The spheres ``sample_spheres`` must return: each slot draws from its
     candidates in increasing id order, one ``randint`` per slot."""
-    eqs = _equations(shape, k)
+    eqs = build_constraints(shape, k)
     F = np.asarray(F2).tolist()
     if max_tries is None:
         max_tries = 20 * n_samples
@@ -81,3 +85,40 @@ def reference_sample(F2, shape, k, n_samples, seed, max_tries=None):
         else:
             found.add(prefix)
     return sorted(found)
+
+
+def reference_is_sphere(X, s):
+    """``fillers.is_sphere`` written out per shape: (ok, first violation)."""
+    k = s.k
+    c = s.faces
+    if k < 2:
+        return True, None
+    if X.shape in ("simplicial", "cyclic"):
+        for j in range(k + 1):
+            for i in range(j):
+                lhs = X.act(c[j], _dl(X, i, k - 2))
+                rhs = X.act(c[i], _dl(X, j - 1, k - 2))
+                if lhs != rhs:
+                    return False, f"c_{j} d_{i} != c_{i} d_{j - 1}"
+        return True, None
+    if X.shape == "cubical":
+        for j in range(2, k + 1):
+            for i in range(1, j):
+                for io in (0, 1):
+                    for up in (0, 1):
+                        lhs = X.act(c[2 * (j - 1) + io], CubeMorphism.face(i, up, k - 1))
+                        rhs = X.act(c[2 * (i - 1) + up], CubeMorphism.face(j - 1, io, k - 1))
+                        if lhs != rhs:
+                            return False, f"c^{io}_{j} a{up}@{i} != c^{up}_{i} a{io}@{j - 1}"
+        return True, None
+    src, tgt = c
+    for gen in ("sig", "tau"):
+        m = GlobeMorphism.generator(gen, k - 2)
+        if X.act(src, m) != X.act(tgt, m):
+            return False, f"faces are not parallel at {gen}"
+    return True, None
+
+
+def _dl(X, i, n):
+    d = SimplexMorphism.face(i, n + 1)
+    return CyclicMorphism.from_simplex(d) if X.shape == "cyclic" else d

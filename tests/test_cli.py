@@ -119,8 +119,10 @@ def test_outputs_deterministic(capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["fill"]) == 2
     assert main(["frobnicate"]) == 2
+    capsys.readouterr()  # drop the argparse usage text
     code, _, err = run(capsys, "validate", "/nonexistent/file.complex")
-    assert code == 2 or isinstance(err, str)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_normalize_globular_and_cyclic(capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from reference_tables import ReferenceTables
 
 from aufhebung.bounds import (
     build_cubical_counterexample,
@@ -21,6 +22,7 @@ from aufhebung.shapes import (
     SimplexMorphism,
     compose,
     count_epis,
+    identity,
     normalize,
 )
 
@@ -44,31 +46,49 @@ def test_validate_counterexample_complex():
     assert cubical_pair().validate().ok
 
 
-def _triangle_generators(swap=False):
-    a = Cell("a", SimplexMorphism.identity(0))
-    b = Cell("b", SimplexMorphism.identity(0))
-    c = Cell("c", SimplexMorphism.identity(0))
-    gens = [GeneratorDecl("a", 0, ()), GeneratorDecl("b", 0, ()),
-            GeneratorDecl("c", 0, ()),
-            GeneratorDecl("ab", 1, (b, a)),
-            GeneratorDecl("ac", 1, (c, a)),
-            GeneratorDecl("bc", 1, (c, b))]
-    e = {n: Cell(n, SimplexMorphism.identity(1)) for n in ("ab", "ac", "bc")}
-    faces = (e["bc"], e["ac"], e["ab"])
-    if swap:
-        faces = (e["ac"], e["bc"], e["ab"])
-    gens.append(GeneratorDecl("t", 2, faces))
-    return gens
+def _complex(shape, decls):
+    """A 2-skeletal complex from (name, dim, face names) triples; every
+    face is a generator itself."""
+    dims = {name: dim for name, dim, _ in decls}
+    return SkeletalComplex(shape, 2, [
+        GeneratorDecl(name, dim, tuple(Cell(f, identity(shape, dims[f]))
+                                       for f in faces))
+        for name, dim, faces in decls], truncation=4)
+
+
+def _cycle_details(X, name):
+    rep = X.validate()
+    assert all(v.kind == "cycle" and v.generator == name
+               for v in rep.violations)
+    return [v.detail for v in rep.violations]
+
+
+TRIANGLE = [("a", 0, ()), ("b", 0, ()), ("c", 0, ()),
+            ("ab", 1, ("b", "a")), ("ac", 1, ("c", "a")), ("bc", 1, ("c", "b"))]
 
 
 def test_validate_triangle_and_broken_cycle_equation():
-    good = SkeletalComplex("simplicial", 2, _triangle_generators(), truncation=4)
+    for shape in ("simplicial", "cyclic"):
+        good = _complex(shape, TRIANGLE + [("t", 2, ("bc", "ac", "ab"))])
+        assert good.validate().ok
+        bad = _complex(shape, TRIANGLE + [("t", 2, ("ac", "bc", "ab"))])
+        assert _cycle_details(bad, "t") == ["c_2 d_0 != c_0 d_1",
+                                            "c_2 d_1 != c_1 d_1"]
+    # a square of loops e: v -> v, and one with its last face f: v -> w
+    edges = [("v", 0, ()), ("w", 0, ()),
+             ("e", 1, ("v", "v")), ("f", 1, ("v", "w"))]
+    good = _complex("cubical", edges + [("sq", 2, ("e", "e", "e", "e"))])
     assert good.validate().ok
-    bad = SkeletalComplex("simplicial", 2, _triangle_generators(swap=True),
-                          truncation=4)
-    rep = bad.validate()
-    assert not rep.ok
-    assert any(v.generator == "t" and v.kind == "cycle" for v in rep.violations)
+    bad = _complex("cubical", edges + [("sq", 2, ("e", "e", "e", "f"))])
+    assert _cycle_details(bad, "sq") == ["c_3 d_1 != c_1 d_1"]
+    # a 2-glob between parallel 1-globs, and one between antiparallel ones
+    globs = [("v", 0, ()), ("w", 0, ()),
+             ("f", 1, ("v", "w")), ("g", 1, ("v", "w")), ("h", 1, ("w", "v"))]
+    good = _complex("globular", globs + [("z", 2, ("f", "g"))])
+    assert good.validate().ok
+    bad = _complex("globular", globs + [("z", 2, ("f", "h"))])
+    assert _cycle_details(bad, "z") == ["c_1 d_0 != c_0 d_0",
+                                        "c_1 d_1 != c_0 d_1"]
 
 
 def test_validate_catches_arity_and_dimension():
@@ -169,9 +189,10 @@ def test_ez_oracle_exhaustive():
     for X in (cubical_pair(), build_simplicial_counterexample(3, truncation=6)[0]):
         top = 4 if X.shape == "cubical" else 5
         tab = X.tabulate(top)
+        ref = ReferenceTables(tab)
         for k in range(top):
             for cid, cell in enumerate(tab.cells[k]):
-                found = tab.ez_decompose_tabulated(cid, k)
+                found = ref.ez_decompose_tabulated(cid, k)
                 assert len(found) == 1
                 m, y, eps = found[0]
                 assert tab.cells[m][y] == Cell(cell.generator,
@@ -183,9 +204,10 @@ def test_ez_oracle_cyclic_orbits():
     from aufhebung.bounds import build_cyclic_counterexample
     X, _ = build_cyclic_counterexample(1)
     tab = X.tabulate(3)
+    ref = ReferenceTables(tab)
     for k in range(3):
         for cid, cell in enumerate(tab.cells[k]):
-            found = tab.ez_decompose_tabulated(cid, k)
+            found = ref.ez_decompose_tabulated(cid, k)
             # uniqueness up to rotating the core
             assert len(found) == cell.generator_dim + 1
             assert sum(1 for m, y, eps in found

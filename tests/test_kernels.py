@@ -96,8 +96,9 @@ def scan_inputs(draw):
     """A random face table, boundary table and caps for one sphere shape."""
     shape = draw(st.sampled_from(SHAPES))
     k = draw(st.integers(1, 4))
-    slots, _, _, col_new, col_prev = _kernels.build_constraints(shape, k)
-    width = 1 + int(max(col_new.max(), col_prev.max())) if len(col_new) else 0
+    eqs = _kernels.build_constraints(shape, k)
+    slots = len(eqs)
+    width = 1 + max((max(a, b) for row in eqs for _, a, b in row), default=-1)
     n = draw(st.integers(0, 5))
     m = draw(st.integers(1, 3))
     F2 = np.array(draw(st.lists(st.lists(st.integers(0, m - 1), min_size=width,

@@ -3,7 +3,8 @@ the sphere kernel against a naive product-filter enumeration."""
 
 from itertools import product
 
-import numpy as np
+from reference_scan import reference_is_sphere
+from reference_tables import ReferenceTables
 
 from aufhebung import _kernels
 from aufhebung.bounds import (
@@ -14,7 +15,7 @@ from aufhebung.bounds import (
     random_skeletal_complex,
 )
 from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex
-from aufhebung.fillers import is_sphere, make_sphere
+from aufhebung.fillers import is_sphere, make_sphere, sphere_arity
 from aufhebung.shapes import (
     CyclicMorphism,
     SimplexMorphism,
@@ -61,19 +62,19 @@ def test_tables_satisfy_all_relations():
         jobs.append((random_skeletal_complex("simplicial", 2, seed=seed), 5))
         jobs.append((random_skeletal_complex("cyclic", 1, seed=seed), 4))
     for X, top in jobs:
-        tab = X.tabulate(top)
-        assert tab.verify_tables() == []
+        assert ReferenceTables(X.tabulate(top)).verify_tables() == []
 
 
 def _naive_spheres(X, tab, k):
-    """Every tuple of (k-1)-cells passing is_sphere, by brute product scan."""
-    from aufhebung.fillers import sphere_arity
+    """Every tuple of (k-1)-cells passing the reference cycle equations, by
+    brute product scan; ``is_sphere`` must agree on every tuple."""
     layer = tab.cells[k - 1]
     arity = sphere_arity(X.shape, k)
     out = []
     for combo in product(range(len(layer)), repeat=arity):
         candidate = make_sphere(X, tuple(layer[i] for i in combo), k)
-        ok, _ = is_sphere(X, candidate)
+        ok, _ = reference_is_sphere(X, candidate)
+        assert is_sphere(X, candidate)[0] == ok, (X.shape, k, combo)
         if ok:
             out.append(combo)
     return out
