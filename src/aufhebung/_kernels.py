@@ -202,7 +202,6 @@ class SphereScan:
     stored: np.ndarray | None
     overflow: bool
     store_overflow: bool
-    backend: str
 
 
 def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
@@ -261,7 +260,6 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
         stored=np.concatenate(stored) if store else None,
         overflow=overflow,
         store_overflow=store and not overflow and n_sph > store_cap,
-        backend="numpy",
     )
 
 

@@ -297,8 +297,7 @@ def random_skeletal_complex(shape: str, n: int, seed: int,
     for d in range(1, n + 1):
         partial = SkeletalComplex(shape, d - 1, gens, truncation=truncation)
         tab = partial.tabulate(d - 1)
-        layer = partial.cells_of_dim(d - 1)
-        F2 = tab.faces[d - 1]
+        layer, F2 = tab.cells[d - 1], tab.faces[d - 1]
         for i in range(counts[d]):
             rows = _kernels.sample_spheres(F2, shape, d, 1, int(rng.randint(2 ** 31)),
                                            max_tries=max_tries)

@@ -12,12 +12,15 @@ cell's epimorphism, splits off the mono part, and pushes the mono into
 the generator's attaching data recursively.
 
 :class:`TabulatedPresheaf` materialises all cells up to a dimension with
-integer ids and dense face tables, the input of the sphere scan.
+integer ids and dense face tables, the input of the sphere scan.  The
+complex builds each layer's id map and face table once and keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -127,7 +130,10 @@ class SkeletalComplex:
     """An n-skeletal presheaf presented by generators and attaching data.
 
     Immutable after construction; all queries are pure, so instances are
-    safe to share across worker threads.  Face actions are memoised.
+    safe to share across worker threads.  Face actions, cell layers and,
+    per dimension, the id map and the read-only face table of the cells
+    are memoised; a memo entry is computed from immutable data, so two
+    threads that race on one entry store equal values.
     """
 
     def __init__(self, shape: str, skeletal_level: int, generators,
@@ -148,6 +154,8 @@ class SkeletalComplex:
         self.truncation = truncation
         self._act_memo: dict[tuple[Cell, ShapeMorphism], Cell] = {}
         self._cells_memo: dict[int, list[Cell]] = {}
+        self._ids_memo: dict[int, Mapping[Cell, int]] = {}
+        self._faces_memo: dict[int, np.ndarray] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -218,12 +226,6 @@ class SkeletalComplex:
             for prev, a, b in row:
                 if self.act(faces[new], fmaps[a]) != self.act(faces[prev], fmaps[b]):
                     yield f"c_{new} d_{a} != c_{prev} d_{b}"
-
-    def _delta(self, i: int, n: int):
-        d = SimplexMorphism.face(i, n + 1)
-        if self.shape == "cyclic":
-            return CyclicMorphism.from_simplex(d)
-        return d
 
     # -- the contravariant action ----------------------------------------------
 
@@ -298,7 +300,7 @@ class SkeletalComplex:
         if self.shape in ("simplicial", "cyclic"):
             if not (0 <= i <= n):
                 raise ComplexError(f"face index {i} out of range")
-            f = self.act(cell, self._delta(i, n - 1))
+            f = self.act(cell, self.face_maps(n)[i])
             return self.dgn(f) == self.dgn(cell) - 1
         if self.shape == "cubical":
             if not (1 <= i <= n):
@@ -319,15 +321,9 @@ class SkeletalComplex:
             raise ComplexError(f"face index {i} out of range")
         if i > n - 1:
             return False
-        face = self.act(cell, self._delta(i, n - 1))
-        back = self.act(face, self._sigma(i, n - 1))
+        face = self.act(cell, self.face_maps(n)[i])
+        back = self.act(face, self.degeneracy_maps(n - 1)[i])
         return back == cell
-
-    def _sigma(self, j: int, n: int):
-        s = SimplexMorphism.degeneracy(j, n + 1)
-        if self.shape == "cyclic":
-            return CyclicMorphism.from_simplex(s)
-        return s
 
     def reduction_profile(self, cell: Cell) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(reducing indices, properly reducing indices) for one cell.
@@ -365,8 +361,11 @@ class SkeletalComplex:
 
     def face_maps(self, k: int) -> list[ShapeMorphism]:
         """The elementary faces from dimension k, in sphere slot order."""
-        if self.shape in ("simplicial", "cyclic"):
-            return [self._delta(i, k - 1) for i in range(k + 1)]
+        if self.shape == "simplicial":
+            return [SimplexMorphism.face(i, k) for i in range(k + 1)]
+        if self.shape == "cyclic":
+            return [CyclicMorphism.from_simplex(SimplexMorphism.face(i, k))
+                    for i in range(k + 1)]
         if self.shape == "cubical":
             return [CubeMorphism.face(i, sign, k)
                     for i in range(1, k + 1) for sign in (0, 1)]
@@ -389,6 +388,27 @@ class SkeletalComplex:
     def tabulate(self, up_to: int, budget_cells: int = 10 ** 6) -> "TabulatedPresheaf":
         return TabulatedPresheaf.build(self, up_to, budget_cells)
 
+    def _layer_ids(self, k: int) -> Mapping[Cell, int]:
+        """The k-cells' positions in :meth:`cells_of_dim`, built once."""
+        ids = self._ids_memo.get(k)
+        if ids is None:
+            ids = MappingProxyType({c: j for j, c in enumerate(self.cells_of_dim(k))})
+            self._ids_memo[k] = ids
+        return ids
+
+    def _face_table(self, k: int) -> np.ndarray:
+        """The read-only int32 table of the k-cells' face ids, built once."""
+        table = self._faces_memo.get(k)
+        if table is None:
+            layer = self.cells_of_dim(k)
+            fmaps = self.face_maps(k) if k >= 1 else []
+            below = self._layer_ids(k - 1)
+            table = np.array([[below[self.act(c, fm)] for fm in fmaps] for c in layer],
+                             dtype=np.int32).reshape(len(layer), len(fmaps))
+            table.flags.writeable = False
+            self._faces_memo[k] = table
+        return table
+
 
 # ---------------------------------------------------------------------------
 # tabulation
@@ -399,16 +419,18 @@ class TabulatedPresheaf:
     """Dense face tables for all cells of a complex up to a dimension.
 
     ``cells[k]`` lists the k-cells, so a cell's id is its position there,
-    and ``index`` maps each cell to its (dimension, id) pair.
-    ``faces[k]`` is an int32 array of shape (N_k, slots) giving the id of
-    each elementary face of each k-cell, in the sphere slot order of
-    :meth:`SkeletalComplex.face_maps`.
+    and ``ids[k]`` maps each k-cell to its id.  ``faces[k]`` is a
+    read-only int32 array of shape (N_k, slots) giving the id of each
+    elementary face of each k-cell, in the sphere slot order of
+    :meth:`SkeletalComplex.face_maps`.  The id maps and tables are the
+    complex's own memos, so tabulating one complex again, to any height,
+    builds only the layers it has not built before.
     """
 
     complex: SkeletalComplex
     up_to: int
     cells: list[list[Cell]]
-    index: dict[Cell, tuple[int, int]]
+    ids: list[Mapping[Cell, int]]
     faces: list[np.ndarray]
 
     @classmethod
@@ -417,32 +439,13 @@ class TabulatedPresheaf:
         if up_to > X.truncation:
             raise TruncationError(
                 f"tabulation to {up_to} exceeds truncation {X.truncation}")
-        cells: list[list[Cell]] = []
-        index: dict[Cell, tuple[int, int]] = {}
         for k in range(up_to + 1):
-            layer = X.cells_of_dim(k)
-            if len(layer) > budget_cells:
+            n_cells = X.count_cells(k)
+            if n_cells > budget_cells:
                 raise BudgetError(
-                    f"{len(layer)} cells in dimension {k} exceed the budget"
+                    f"{n_cells} cells in dimension {k} exceed the budget"
                     f" of {budget_cells}")
-            for j, c in enumerate(layer):
-                index[c] = (k, j)
-            cells.append(layer)
-        faces: list[np.ndarray] = []
-        for k in range(up_to + 1):
-            layer = cells[k]
-            fmaps = X.face_maps(k) if k >= 1 else []
-            table = np.empty((len(layer), len(fmaps)), dtype=np.int32)
-            for j, c in enumerate(layer):
-                for s, fm in enumerate(fmaps):
-                    table[j, s] = index[X.act(c, fm)][1]
-            faces.append(table)
-        return cls(X, up_to, cells, index, faces)
-
-    @property
-    def shape(self) -> str:
-        return self.complex.shape
-
-    def cell_id(self, cell: Cell) -> int:
-        k, j = self.index[cell]
-        return j
+        dims = range(up_to + 1)
+        return cls(X, up_to, [X.cells_of_dim(k) for k in dims],
+                   [X._layer_ids(k) for k in dims],
+                   [X._face_table(k) for k in dims])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from . import shapes
-from .complexes import Cell, GeneratorDecl, SkeletalComplex
+from .complexes import Cell, GeneratorDecl, SkeletalComplex, face_arity
 from .fillers import Sphere, cell_literal, make_sphere
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -98,7 +98,6 @@ def parse_complex(text: str) -> SkeletalComplex:
     gens: list[GeneratorDecl] = []
     partial = SkeletalComplex(shape, skeletal, [], truncation=truncate)
     for lineno, name, dim, face_literals in raw_gens:
-        from .complexes import face_arity
         arity = face_arity(shape, dim)
         if len(face_literals) != arity:
             raise ParseError(lineno,

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .complexes import Cell, SkeletalComplex, TabulatedPresheaf, TruncationError
+from .complexes import (
+    Cell,
+    SkeletalComplex,
+    TabulatedPresheaf,
+    TruncationError,
+    face_arity,
+)
 from .shapes import (
     CubeMorphism,
     GlobeMorphism,
@@ -64,23 +70,15 @@ class Sphere:
         return ", ".join(cell_literal(c) for c in self.faces)
 
 
-def sphere_arity(shape: str, k: int) -> int:
-    if shape in ("simplicial", "cyclic"):
-        return k + 1
-    if shape == "cubical":
-        return 2 * k
-    return 2
-
-
 def make_sphere(X: SkeletalComplex, faces, k: int | None = None) -> Sphere:
     faces = tuple(faces)
     if not faces:
         raise SphereError("a sphere needs at least one face")
     if k is None:
         k = faces[0].dim + 1
-    if len(faces) != sphere_arity(X.shape, k):
+    if len(faces) != face_arity(X.shape, k):
         raise SphereError(
-            f"a {k}-sphere of shape {X.shape} has {sphere_arity(X.shape, k)}"
+            f"a {k}-sphere of shape {X.shape} has {face_arity(X.shape, k)}"
             f" faces, got {len(faces)}")
     if any(c.dim != k - 1 for c in faces):
         raise SphereError("all faces must have dimension k - 1")
@@ -353,15 +351,13 @@ def constructive_filler(X: SkeletalComplex, s: Sphere, trace: bool = False) -> F
 
 
 def brute_force_fill(X: SkeletalComplex, s: Sphere,
-                     tab: TabulatedPresheaf | None = None,
                      budget_cells: int = 10 ** 6) -> FillResult:
     """All fillers of a sphere, by exhaustive scan of the k-cell layer."""
     k = s.k
     if k > X.truncation:
         raise TruncationError(f"sphere dimension {k} exceeds truncation")
-    if tab is None or tab.up_to < k:
-        tab = X.tabulate(k, budget_cells=budget_cells)
-    row = np.array([tab.index[c][1] for c in s.faces], dtype=np.int32)
+    tab = X.tabulate(k, budget_cells=budget_cells)
+    row = np.array([tab.ids[k - 1][c] for c in s.faces], dtype=np.int32)
     ids = _kernels.find_fillers(tab.faces[k], row)
     witnesses = tuple(tab.cells[k][int(i)] for i in ids)
     if len(witnesses) == 1:
@@ -386,7 +382,6 @@ class LevelReport:
     n_multi: int
     unfilled_witnesses: tuple[str, ...]
     multi_witnesses: tuple[str, ...]
-    backend: str
 
     @property
     def ok(self) -> bool:
@@ -450,8 +445,7 @@ def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
                      budget_cells: int = 10 ** 6,
                      seed: int = 0,
                      samples: int = 2000,
-                     witness_cap: int = 8,
-                     tab: TabulatedPresheaf | None = None) -> VerificationReport:
+                     witness_cap: int = 8) -> VerificationReport:
     """Check unique fillability of every k-sphere for k in (k_min, upper].
 
     Levels within the sphere budget are enumerated exhaustively; a level
@@ -462,8 +456,7 @@ def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
                               budget_cells=budget_cells, samples=samples)
     if upper > X.truncation:
         raise TruncationError(f"window top {upper} exceeds truncation")
-    if tab is None or tab.up_to < upper:
-        tab = X.tabulate(upper, budget_cells=budget_cells)
+    tab = X.tabulate(upper, budget_cells=budget_cells)
     levels = []
     partial = False
     for k in range(k_min + 1, upper + 1):
@@ -483,7 +476,7 @@ def _check_level(X, tab, k, budget_spheres, seed, samples, witness_cap) -> Level
     B = tab.faces[k]
     n_cells = B.shape[0]
     if F2.shape[0] == 0:
-        return LevelReport(k, n_cells, 0, "vacuous", 0, 0, (), (), "none")
+        return LevelReport(k, n_cells, 0, "vacuous", 0, 0, (), ())
     dup_groups = _kernels.duplicate_row_groups(B)
     multi = tuple(
         _sphere_literal(tab, k, B[g[0]])
@@ -495,8 +488,7 @@ def _check_level(X, tab, k, budget_spheres, seed, samples, witness_cap) -> Level
     if not scan.overflow:
         unfilled = tuple(_sphere_literal(tab, k, row) for row in scan.missing)
         return LevelReport(k, n_cells, scan.n_spheres, "exhaustive",
-                           scan.n_missing, len(dup_groups), unfilled, multi,
-                           scan.backend)
+                           scan.n_missing, len(dup_groups), unfilled, multi)
     # sampled fallback: seeded random spheres plus all cell boundaries
     sampled = _kernels.sample_spheres(F2, X.shape, k, samples, seed)
     rows = {tuple(int(v) for v in B[i]) for i in range(B.shape[0])}
@@ -505,16 +497,13 @@ def _check_level(X, tab, k, budget_spheres, seed, samples, witness_cap) -> Level
     unfilled = tuple(_sphere_literal(tab, k, row)
                      for row in missing_rows[:witness_cap])
     return LevelReport(k, n_cells, len(checked), "sampled",
-                       len(missing_rows), len(dup_groups), unfilled, multi,
-                       scan.backend)
+                       len(missing_rows), len(dup_groups), unfilled, multi)
 
 
 def enumerate_spheres(X: SkeletalComplex, k: int,
-                      budget: int = 10 ** 5,
-                      tab: TabulatedPresheaf | None = None) -> list[Sphere]:
+                      budget: int = 10 ** 5) -> list[Sphere]:
     """Materialise all k-spheres (within a budget) for oracle sweeps."""
-    if tab is None or tab.up_to < k:
-        tab = X.tabulate(k)
+    tab = X.tabulate(k)
     F2 = tab.faces[k - 1]
     if F2.shape[0] == 0:
         return []

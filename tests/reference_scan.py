@@ -60,7 +60,6 @@ def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16,
         stored=table(counted[:store_cap]) if store else None,
         overflow=overflow,
         store_overflow=store and not overflow and len(counted) > store_cap,
-        backend="reference",
     )
 
 

@@ -167,11 +167,10 @@ def test_criterion_8_oracle_equivalence():
     for X in jobs:
         upper = claimed_upper(X.shape, X.skeletal_level)
         top = min(X.truncation, upper + 2)
-        tab = X.tabulate(top)
         for k in range(upper + 1, top + 1):
-            for s in enumerate_spheres(X, k, budget=200000, tab=tab):
+            for s in enumerate_spheres(X, k, budget=200000):
                 res = constructive_filler(X, s)
-                oracle = brute_force_fill(X, s, tab=tab)
+                oracle = brute_force_fill(X, s)
                 ok = ok and len(oracle.witnesses) == 1
                 if res.status == "not_applicable":
                     # the n=2, k=4 window sits below the preconditions and

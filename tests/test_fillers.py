@@ -118,7 +118,7 @@ def test_brute_force_finds_boundary_cell():
     tab = X.tabulate(4)
     for k in range(1, 5):
         for c in tab.cells[k]:
-            res = brute_force_fill(X, boundary(X, c), tab=tab)
+            res = brute_force_fill(X, boundary(X, c))
             assert c in res.witnesses
 
 
@@ -133,23 +133,22 @@ def test_globular_filler():
             pair = make_sphere(X, (c, c), k)
             res = constructive_filler_globular(X, pair)
             assert res.status == "filled"
-            oracle = brute_force_fill(X, pair, tab=tab)
+            oracle = brute_force_fill(X, pair)
             assert oracle.witnesses == (res.filler,)
     # the designated pair of distinct generators has no filler
-    assert brute_force_fill(X, s, tab=tab).status == "no_filler"
+    assert brute_force_fill(X, s).status == "no_filler"
 
 
 def _sweep(X, k_lo, k_hi, expect_unique=True):
     """Constructive-vs-oracle comparison on every enumerated sphere."""
-    tab = X.tabulate(k_hi)
     compared = 0
     for k in range(k_lo, k_hi + 1):
-        for s in enumerate_spheres(X, k, budget=200000, tab=tab):
+        for s in enumerate_spheres(X, k, budget=200000):
             res = constructive_filler(X, s, trace=False)
             if res.status != "filled":
                 continue
             compared += 1
-            oracle = brute_force_fill(X, s, tab=tab)
+            oracle = brute_force_fill(X, s)
             if expect_unique and k > claimed_upper(X.shape, X.skeletal_level):
                 assert oracle.witnesses == (res.filler,)
             else:
@@ -182,10 +181,9 @@ def test_oracle_equivalence_random_complexes():
 def test_profile_sanity():
     # |M| = r and min(M) >= m on every applicable enumerated sphere
     X, _ = build_cubical_counterexample(2, truncation=6)
-    tab = X.tabulate(6)
     checked = 0
     for k in range(2, 7):
-        for s in enumerate_spheres(X, k, budget=100000, tab=tab):
+        for s in enumerate_spheres(X, k, budget=100000):
             if any(X.dgn(c) == 0 for c in s.faces):
                 continue
             prof = sphere_profile(X, s)
@@ -255,6 +253,32 @@ def test_tabulation_budget_error():
     X, _ = build_simplicial_counterexample(3)
     with pytest.raises(BudgetError):
         X.tabulate(6, budget_cells=10)
+    # the budget holds on every call, also when every layer is memoised
+    X.tabulate(6)
+    with pytest.raises(BudgetError):
+        X.tabulate(6, budget_cells=10)
+
+
+def test_face_tables_built_once(monkeypatch):
+    X, _ = build_cubical_counterexample(2)
+    tab = X.tabulate(4)
+    again = X.tabulate(6)
+    assert tab.faces[3] is again.faces[3] and tab.ids[3] is again.ids[3]
+    calls = []
+    act = SkeletalComplex.act
+
+    def counting_act(self, cell, f):
+        calls.append(f)
+        return act(self, cell, f)
+
+    monkeypatch.setattr(SkeletalComplex, "act", counting_act)
+    third = X.tabulate(6)
+    assert calls == []
+    assert all(a is b for a, b in zip(again.faces, third.faces))
+    with pytest.raises(ValueError):
+        third.faces[2][0, 0] = 0
+    with pytest.raises(TypeError):
+        third.ids[2][X.cells_of_dim(2)[0]] = 0
 
 
 def test_sampled_mode_end_to_end():

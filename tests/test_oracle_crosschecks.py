@@ -14,8 +14,8 @@ from aufhebung.bounds import (
     build_simplicial_counterexample,
     random_skeletal_complex,
 )
-from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex
-from aufhebung.fillers import is_sphere, make_sphere, sphere_arity
+from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex, face_arity
+from aufhebung.fillers import is_sphere, make_sphere
 from aufhebung.shapes import (
     CyclicMorphism,
     SimplexMorphism,
@@ -69,7 +69,7 @@ def _naive_spheres(X, tab, k):
     """Every tuple of (k-1)-cells passing the reference cycle equations, by
     brute product scan; ``is_sphere`` must agree on every tuple."""
     layer = tab.cells[k - 1]
-    arity = sphere_arity(X.shape, k)
+    arity = face_arity(X.shape, k)
     out = []
     for combo in product(range(len(layer)), repeat=arity):
         candidate = make_sphere(X, tuple(layer[i] for i in combo), k)
@@ -114,7 +114,7 @@ def test_naive_filler_counts_match_oracle():
     from aufhebung.fillers import brute_force_fill
     for combo in _naive_spheres(X, tab, k):
         sphere = make_sphere(X, tuple(tab.cells[k - 1][i] for i in combo), k)
-        res = brute_force_fill(X, sphere, tab=tab)
+        res = brute_force_fill(X, sphere)
         direct = [c for c in tab.cells[k]
                   if tuple(X.act(c, fm) for fm in X.face_maps(k)) == sphere.faces]
         assert list(res.witnesses) == direct
