@@ -42,7 +42,6 @@ from .shapes import (
     epi_mono_factor,
     format_morphism,
     identity,
-    lambda_normalize,
     normalize,
     sections_of,
     underlying_simplex_morphism,
@@ -61,7 +60,7 @@ __all__ = [
     "constructive_filler", "constructive_filler_cubical",
     "constructive_filler_globular", "constructive_filler_simplicial",
     "coskeletal_up_to", "enumerate_epis", "epi_mono_factor",
-    "format_morphism", "identity", "is_sphere", "lambda_normalize",
+    "format_morphism", "identity", "is_sphere",
     "load_complex", "make_sphere", "normalize", "parse_complex", "parse_sphere", "random_skeletal_complex",
     "save_complex", "sections_of", "serialize_complex", "sphere_profile",
     "underlying_simplex_morphism", "underlying_simplicial",

@@ -194,38 +194,35 @@ def _row_set(B: np.ndarray, slots: int):
 
 @dataclass
 class SphereScan:
-    """Result of one exhaustive sphere scan at a fixed dimension."""
+    """Result of one sphere scan at a fixed dimension."""
 
     n_spheres: int
     n_missing: int
     missing: np.ndarray
-    stored: np.ndarray | None
     overflow: bool
-    store_overflow: bool
 
 
 def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
-                 budget: int = 10 ** 6, miss_cap: int = 16,
-                 store: bool = False, store_cap: int = 0) -> SphereScan:
-    """Enumerate all k-spheres over the face table ``F2`` of (k-1)-cells.
+                 budget: int = 10 ** 6, miss_cap: int = 16) -> SphereScan:
+    """Enumerate the k-spheres over the face table ``F2`` of (k-1)-cells.
 
     ``B`` is the boundary table of k-cells (one row per cell, in sphere
     slot order); a sphere with no matching row has no filler.  Spheres are
-    counted in lexicographic slot order: ``missing`` holds the first
-    ``miss_cap`` unfilled ones and ``stored`` the first ``store_cap``.
-    When more than ``budget`` spheres exist, the first ``budget`` are
-    counted and ``overflow`` is set.
+    counted in lexicographic slot order, and ``missing`` holds the first
+    ``miss_cap`` unfilled ones.  When more than ``budget`` spheres exist,
+    only the first ``budget`` are counted and ``overflow`` is set: every
+    count then describes that prefix.  Against an empty ``B`` every sphere
+    is missing, which lists the spheres themselves.
     """
     require_positive(budget=budget)
-    if miss_cap < 0 or store_cap < 0:
-        raise ValueError("witness and store caps must not be negative")
+    if miss_cap < 0:
+        raise ValueError("miss_cap must not be negative")
     cons = build_constraints(shape, k)
     slots = len(cons)
     index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
     in_B = _row_set(B, slots)
-    empty = np.zeros((0, slots), dtype=np.int32)
-    missing, stored = [empty], [empty]
-    n_sph = n_miss = n_kept = n_stored = 0
+    missing = [np.zeros((0, slots), dtype=np.int32)]
+    n_sph = n_miss = n_kept = 0
     overflow = False
     root = np.zeros((1, 0), dtype=np.int32)
     stack = [_Frontier(0, root, *index.ranges(0, root))]
@@ -250,17 +247,8 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
         n_miss += len(miss)
         missing.append(miss[:miss_cap - n_kept])
         n_kept += len(missing[-1])
-        if store:
-            stored.append(Q[:store_cap - n_stored])
-            n_stored += len(stored[-1])
-    return SphereScan(
-        n_spheres=n_sph,
-        n_missing=n_miss,
-        missing=np.concatenate(missing),
-        stored=np.concatenate(stored) if store else None,
-        overflow=overflow,
-        store_overflow=store and not overflow and n_sph > store_cap,
-    )
+    return SphereScan(n_spheres=n_sph, n_missing=n_miss,
+                      missing=np.concatenate(missing), overflow=overflow)
 
 
 def sample_spheres(F2: np.ndarray, shape: str, k: int, n_samples: int,

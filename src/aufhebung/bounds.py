@@ -22,6 +22,7 @@ from .fillers import (
     Sphere,
     VerificationReport,
     brute_force_fill,
+    conjunction,
     coskeletal_up_to,
     is_sphere,
     make_sphere,
@@ -342,7 +343,7 @@ class Certificate:
     cyclic_cross_check: tuple[VerificationReport, ...]
     expected_cyclic_bound: int | None
     seed: int
-    ok: bool
+    ok: bool | None
     config: tuple[tuple[str, object], ...] = ()
 
     def to_dict(self) -> dict:
@@ -368,13 +369,23 @@ def certify(shape: str, n: int, extra_complexes=(), seed: int = 0,
             budget_cells: int = 10 ** 6) -> Certificate:
     """Certify the claimed bound on the built counterexample plus any
     extra complexes; for cyclic input also cross-check coskeletality
-    against the underlying simplicial complex."""
+    against the underlying simplicial complex.
+
+    ``ok`` is three-valued like the reports it folds: None when a sphere
+    budget ran out before any witness showed up.  ``seed`` is recorded
+    only: it names the seed the extra complexes were drawn from.
+    """
     _kernels.require_positive(budget_spheres=budget_spheres,
                               budget_cells=budget_cells)
     upper = claimed_upper(shape, n)
+    extra_complexes = tuple(extra_complexes)
+    for top in (truncation,) + tuple(Y.truncation for Y in extra_complexes):
+        if top is not None and top <= upper:
+            raise ValueError(f"truncation {top} leaves no level above the"
+                             f" claimed bound {upper} to check")
     X, s = build_counterexample(shape, n, truncation)
     config = (("shape", shape), ("n", n), ("seed", seed),
-              ("extra_complexes", len(tuple(extra_complexes))),
+              ("extra_complexes", len(extra_complexes)),
               ("truncation", truncation if truncation is not None
                else X.truncation),
               ("budget_spheres", budget_spheres),
@@ -385,33 +396,32 @@ def certify(shape: str, n: int, extra_complexes=(), seed: int = 0,
         if Y.skeletal_level != n or not Y.validate().ok:
             raise ValueError("extra complexes must be validated n-skeletal")
     fill = brute_force_fill(X, s, budget_cells=budget_cells)
-    reports = []
-    ok = fill.status == "no_filler"
-    for Y in (X,) + tuple(extra_complexes):
-        rep = coskeletal_up_to(Y, upper, min(truncation, Y.truncation),
-                               budget_spheres=budget_spheres,
-                               budget_cells=budget_cells, seed=seed)
-        reports.append(rep)
-        ok = ok and rep.coskeletal
+    reports = tuple(
+        coskeletal_up_to(Y, upper, min(truncation, Y.truncation),
+                         budget_spheres=budget_spheres,
+                         budget_cells=budget_cells)
+        for Y in (X,) + extra_complexes)
+    verdicts = [fill.status == "no_filler"] + [r.coskeletal for r in reports]
     cross = []
     if shape == "cyclic":
         U, mapping = underlying_simplicial(X)
         for k in range(upper + 1, min(truncation, U.truncation) + 1):
             cyc = coskeletal_up_to(X, k - 1, k, budget_spheres=budget_spheres,
-                                   budget_cells=budget_cells, seed=seed)
+                                   budget_cells=budget_cells)
             simp = coskeletal_up_to(U, k - 1, k, budget_spheres=budget_spheres,
-                                    budget_cells=budget_cells, seed=seed)
+                                    budget_cells=budget_cells)
             cross.extend([cyc, simp])
-            ok = ok and (cyc.coskeletal == simp.coskeletal)
+            verdicts.append(None if None in (cyc.coskeletal, simp.coskeletal)
+                            else cyc.coskeletal == simp.coskeletal)
     claim = BoundClaim(shape, n, lower_fail=s.k - 1, upper_hold=upper)
     return Certificate(
         claim=claim,
         counterexample_fill=fill.status,
         witness_sphere=s.literal(),
-        reports=tuple(reports),
+        reports=reports,
         cyclic_cross_check=tuple(cross),
         expected_cyclic_bound=(2 * n - 1) if shape == "cyclic" else None,
         seed=seed,
-        ok=ok,
+        ok=conjunction(verdicts),
         config=config,
     )

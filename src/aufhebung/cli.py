@@ -7,8 +7,9 @@ Subcommands: ``normalize`` (canonical form of a morphism word),
 
 Exit codes: 0 the claim holds / the sphere is filled; 1 a counterexample
 was found / the sphere has no filler; 2 usage or input error, or an
-exceeded cell budget.  Outputs are pure functions of (arguments, input
-files, seed).
+exceeded cell budget; 3 inconclusive: a sphere budget ran out before any
+counterexample was found.  A resource limit never exits 1.  Outputs are
+pure functions of (arguments, input files, seed).
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import argparse
 import sys
 
 from . import bounds, complexes, fileio, fillers, shapes
+
+# exit code of a three-valued verdict: holds, fails, inconclusive
+EXIT_CODES = {True: 0, False: 1, None: 3}
 
 
 def _shape_arg(p: argparse.ArgumentParser) -> None:
@@ -53,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exclusive lower end of the window")
     p.add_argument("--to", dest="upper", type=int, required=True,
                    help="inclusive upper end of the window")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-spheres", type=int, default=10 ** 6)
     p.add_argument("--budget-cells", type=int, default=10 ** 6)
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -126,13 +129,13 @@ def cmd_coskeletal(args) -> int:
     X = fileio.load_complex(args.file)
     rep = fillers.coskeletal_up_to(
         X, args.k_min, args.upper, budget_spheres=args.budget_spheres,
-        budget_cells=args.budget_cells, seed=args.seed)
+        budget_cells=args.budget_cells)
     text = rep.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return 0 if rep.coskeletal else 1
+    return EXIT_CODES[rep.coskeletal]
 
 
 def cmd_verify(args) -> int:
@@ -149,7 +152,7 @@ def cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return 0 if cert.ok else 1
+    return EXIT_CODES[cert.ok]
 
 
 def cmd_counterexample(args) -> int:

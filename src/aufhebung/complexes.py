@@ -75,10 +75,6 @@ class Cell:
     def generator_dim(self) -> int:
         return self.epi.cod
 
-    @property
-    def is_nondegenerate(self) -> bool:
-        return self.dim == self.generator_dim
-
     def __repr__(self) -> str:
         return f"Cell({self.generator}, {shapes.format_morphism(self.epi)})"
 
@@ -285,11 +281,6 @@ class SkeletalComplex:
         return self.act(face, rest)
 
     # -- degeneracy calculus ----------------------------------------------------
-
-    def ez_decompose(self, cell: Cell) -> tuple[Cell, ShapeMorphism]:
-        """The (non-degenerate part, epi) pair; structural by representation."""
-        return Cell(cell.generator,
-                    identity(self.shape, cell.generator_dim)), cell.epi
 
     def dgn(self, cell: Cell) -> int:
         return cell.dim - cell.generator_dim

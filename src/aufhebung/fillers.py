@@ -10,14 +10,17 @@ routes decide whether a sphere bounds:
   error can only fire if the underlying combinatorics is wrong; and
 * :func:`brute_force_fill` scans every cell of the right dimension.
 
-:func:`coskeletal_up_to` enumerates spheres level by level (exhaustively
-within a budget, else by seeded sampling plus all cell boundaries) and
-certifies existence and uniqueness of fillers.
+:func:`coskeletal_up_to` enumerates spheres level by level and certifies
+existence and uniqueness of fillers.  Its verdicts have three values: True
+(every sphere of the window is uniquely filled), False (a witness sphere
+is unfilled or has several fillers) and None (a level ran over the sphere
+budget before any witness showed up, so nothing is claimed).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,21 +374,37 @@ def brute_force_fill(X: SkeletalComplex, s: Sphere,
 # ---------------------------------------------------------------------------
 # level-by-level coskeletality
 
+# unfilled and multi-filled spheres a level report lists, at most
+WITNESS_CAP = 8
+
+
+def conjunction(verdicts: Iterable[bool | None]) -> bool | None:
+    """Three-valued "and": False if any verdict is False, else None if any
+    is None (inconclusive), else True."""
+    verdicts = list(verdicts)
+    if False in verdicts:
+        return False
+    return None if None in verdicts else True
+
 
 @dataclass(frozen=True)
 class LevelReport:
     k: int
     n_cells: int
     n_spheres: int
-    coverage: str  # exhaustive | sampled | vacuous
+    coverage: str  # exhaustive | truncated | vacuous
     n_unfilled: int
     n_multi: int
     unfilled_witnesses: tuple[str, ...]
     multi_witnesses: tuple[str, ...]
 
     @property
-    def ok(self) -> bool:
-        return self.n_unfilled == 0 and self.n_multi == 0
+    def ok(self) -> bool | None:
+        """False on a witness, which is genuine also inside a truncated
+        prefix; None on a truncated level without one; True otherwise."""
+        if self.n_unfilled or self.n_multi:
+            return False
+        return None if self.coverage == "truncated" else True
 
     def to_dict(self) -> dict:
         return {
@@ -409,28 +428,21 @@ class VerificationReport:
     skeletal_level: int
     k_min: int
     upper: int
-    seed: int
     levels: tuple[LevelReport, ...]
-    partial: bool
 
     @property
-    def coskeletal(self) -> bool:
-        return all(level.ok for level in self.levels)
+    def coskeletal(self) -> bool | None:
+        return conjunction(level.ok for level in self.levels)
 
-    def first_witness(self) -> tuple[int, str] | None:
-        for level in self.levels:
-            if level.unfilled_witnesses:
-                return level.k, level.unfilled_witnesses[0]
-            if level.multi_witnesses:
-                return level.k, level.multi_witnesses[0]
-        return None
+    @property
+    def partial(self) -> bool:
+        return any(level.coverage == "truncated" for level in self.levels)
 
     def to_dict(self) -> dict:
         return {
             "shape": self.shape,
             "skeletal": self.skeletal_level,
             "window": [self.k_min, self.upper],
-            "seed": self.seed,
             "coskeletal": self.coskeletal,
             "partial": self.partial,
             "levels": [level.to_dict() for level in self.levels],
@@ -442,36 +454,31 @@ class VerificationReport:
 
 def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
                      budget_spheres: int = 10 ** 6,
-                     budget_cells: int = 10 ** 6,
-                     seed: int = 0,
-                     samples: int = 2000,
-                     witness_cap: int = 8) -> VerificationReport:
+                     budget_cells: int = 10 ** 6) -> VerificationReport:
     """Check unique fillability of every k-sphere for k in (k_min, upper].
 
-    Levels within the sphere budget are enumerated exhaustively; a level
-    that overflows is re-checked on a seeded sample plus the boundaries of
-    all its k-cells and marked as sampled (the report is then partial).
+    Each level is scanned exhaustively.  A level with more than
+    ``budget_spheres`` spheres reports its first ``budget_spheres`` in
+    scan order, marked ``truncated``: an unfilled or multi-filled sphere
+    found there still fails the level, but the level never passes.
     """
     _kernels.require_positive(budget_spheres=budget_spheres,
-                              budget_cells=budget_cells, samples=samples)
+                              budget_cells=budget_cells)
+    if k_min < 0:
+        raise ValueError(f"the window start must not be negative, not {k_min}")
     if upper > X.truncation:
         raise TruncationError(f"window top {upper} exceeds truncation")
     tab = X.tabulate(upper, budget_cells=budget_cells)
-    levels = []
-    partial = False
-    for k in range(k_min + 1, upper + 1):
-        levels.append(_check_level(X, tab, k, budget_spheres, seed, samples,
-                                   witness_cap))
-        partial = partial or levels[-1].coverage == "sampled"
-    return VerificationReport(X.shape, X.skeletal_level, k_min, upper, seed,
-                              tuple(levels), partial)
+    levels = tuple(_check_level(X, tab, k, budget_spheres)
+                   for k in range(k_min + 1, upper + 1))
+    return VerificationReport(X.shape, X.skeletal_level, k_min, upper, levels)
 
 
 def _sphere_literal(tab: TabulatedPresheaf, k: int, row) -> str:
     return ", ".join(cell_literal(tab.cells[k - 1][int(i)]) for i in row)
 
 
-def _check_level(X, tab, k, budget_spheres, seed, samples, witness_cap) -> LevelReport:
+def _check_level(X, tab, k, budget_spheres) -> LevelReport:
     F2 = tab.faces[k - 1]
     B = tab.faces[k]
     n_cells = B.shape[0]
@@ -482,35 +489,10 @@ def _check_level(X, tab, k, budget_spheres, seed, samples, witness_cap) -> Level
         _sphere_literal(tab, k, B[g[0]])
         + f" -> {len(g)} fillers: " + ", ".join(cell_literal(tab.cells[k][int(i)])
                                                 for i in g)
-        for g in dup_groups[:witness_cap])
+        for g in dup_groups[:WITNESS_CAP])
     scan = _kernels.scan_spheres(F2, B, X.shape, k, budget=budget_spheres,
-                                 miss_cap=witness_cap)
-    if not scan.overflow:
-        unfilled = tuple(_sphere_literal(tab, k, row) for row in scan.missing)
-        return LevelReport(k, n_cells, scan.n_spheres, "exhaustive",
-                           scan.n_missing, len(dup_groups), unfilled, multi)
-    # sampled fallback: seeded random spheres plus all cell boundaries
-    sampled = _kernels.sample_spheres(F2, X.shape, k, samples, seed)
-    rows = {tuple(int(v) for v in B[i]) for i in range(B.shape[0])}
-    checked = set(sampled) | rows
-    missing_rows = [row for row in sorted(checked) if row not in rows]
-    unfilled = tuple(_sphere_literal(tab, k, row)
-                     for row in missing_rows[:witness_cap])
-    return LevelReport(k, n_cells, len(checked), "sampled",
-                       len(missing_rows), len(dup_groups), unfilled, multi)
-
-
-def enumerate_spheres(X: SkeletalComplex, k: int,
-                      budget: int = 10 ** 5) -> list[Sphere]:
-    """Materialise all k-spheres (within a budget) for oracle sweeps."""
-    tab = X.tabulate(k)
-    F2 = tab.faces[k - 1]
-    if F2.shape[0] == 0:
-        return []
-    scan = _kernels.scan_spheres(F2, tab.faces[k], X.shape, k,
-                                 budget=budget, store=True, store_cap=budget)
-    if scan.overflow or scan.store_overflow:
-        raise RuntimeError(f"sphere enumeration at k={k} exceeded the budget {budget}")
-    assert scan.stored is not None
-    return [Sphere(X.shape, k, tuple(tab.cells[k - 1][int(i)] for i in row))
-            for row in scan.stored]
+                                 miss_cap=WITNESS_CAP)
+    unfilled = tuple(_sphere_literal(tab, k, row) for row in scan.missing)
+    return LevelReport(k, n_cells, scan.n_spheres,
+                       "truncated" if scan.overflow else "exhaustive",
+                       scan.n_missing, len(dup_groups), unfilled, multi)

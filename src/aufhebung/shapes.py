@@ -749,9 +749,3 @@ def underlying_simplex_morphism(f: CyclicMorphism) -> SimplexMorphism:
     if not isinstance(f, CyclicMorphism):
         raise ShapeError("underlying_simplex_morphism takes a cyclic morphism")
     return f.delta_part
-
-
-def lambda_normalize(word, dom: int | None = None) -> CyclicMorphism:
-    """Fold a cyclic word (rotations, faces, ordinary and wrap-around
-    degeneracies) into its unique (rotation, monotone part) pair."""
-    return normalize("cyclic", word, dom=dom)

@@ -1,0 +1,40 @@
+"""Small readers of the package's results, shared by the tests.
+
+None of this is used by the package.  Spheres are listed by scanning
+against an empty boundary table: every sphere is then unfilled, so the
+scan's ``missing`` rows are the spheres themselves, in scan order.
+"""
+
+import numpy as np
+
+from aufhebung._kernels import build_constraints, scan_spheres
+from aufhebung.fillers import Sphere
+
+
+def empty_table(shape, k):
+    """A k-cell boundary table with no rows."""
+    return np.zeros((0, len(build_constraints(shape, k))), np.int32)
+
+
+def enumerate_spheres(X, k, budget=10 ** 5):
+    """All k-spheres of ``X`` in scan order, for oracle sweeps."""
+    tab = X.tabulate(k)
+    F2 = tab.faces[k - 1]
+    if F2.shape[0] == 0:
+        return []
+    scan = scan_spheres(F2, empty_table(X.shape, k), X.shape, k,
+                        budget=budget, miss_cap=budget)
+    if scan.overflow:
+        raise RuntimeError(f"sphere enumeration at k={k} exceeded the budget {budget}")
+    return [Sphere(X.shape, k, tuple(tab.cells[k - 1][int(i)] for i in row))
+            for row in scan.missing]
+
+
+def first_witness(report):
+    """(k, literal) of the first unfilled or multi-filled sphere of a
+    coskeletality report, or None."""
+    for level in report.levels:
+        witnesses = level.unfilled_witnesses + level.multi_witnesses
+        if witnesses:
+            return level.k, witnesses[0]
+    return None

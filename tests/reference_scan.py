@@ -39,8 +39,7 @@ def _spheres(F, eqs, prefix=()):
         yield from _spheres(F, eqs, prefix + (y,))
 
 
-def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16,
-                   store=False, store_cap=0):
+def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16):
     """The result ``scan_spheres`` must return, found by plain DFS."""
     eqs = build_constraints(shape, k)
     F = np.asarray(F2).tolist()
@@ -49,17 +48,11 @@ def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16,
     counted = found[:budget]
     overflow = len(found) > budget
     missing = [s for s in counted if s not in filled]
-
-    def table(rows):
-        return np.array(rows, dtype=np.int32).reshape(len(rows), len(eqs))
-
     return SphereScan(
         n_spheres=len(counted),
         n_missing=len(missing),
-        missing=table(missing[:miss_cap]),
-        stored=table(counted[:store_cap]) if store else None,
+        missing=np.array(missing[:miss_cap], dtype=np.int32).reshape(-1, len(eqs)),
         overflow=overflow,
-        store_overflow=store and not overflow and len(counted) > store_cap,
     )
 
 

@@ -8,6 +8,8 @@ import random
 import time
 from itertools import product
 
+from helpers import enumerate_spheres
+
 from aufhebung.bounds import (
     build_cubical_counterexample,
     build_globular_counterexample,
@@ -22,7 +24,6 @@ from aufhebung.fillers import (
     brute_force_fill,
     constructive_filler,
     coskeletal_up_to,
-    enumerate_spheres,
 )
 from aufhebung.shapes import (
     compose,

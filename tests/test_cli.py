@@ -187,3 +187,47 @@ def test_non_positive_budget_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.format(path=path) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "must be positive" in err
+
+
+def test_verify_inconclusive_exit_3(capsys):
+    # five spheres per level cover too little to certify anything
+    code, out, err = run(capsys, "verify", "--shape", "cubical", "--n", "2",
+                         "--budget-spheres", "5")
+    assert code == 3 and err == ""
+    cert = json.loads(out)
+    assert cert["ok"] is None
+    (rep,) = cert["reports"]
+    assert rep["coskeletal"] is None and rep["partial"] is True
+    assert [(lv["coverage"], lv["spheres"]) for lv in rep["levels"]] == [
+        ("truncated", 5), ("truncated", 5)]
+
+
+def test_coskeletal_inconclusive_exit_3(tmp_path, capsys):
+    path = tmp_path / "ce.complex"
+    run(capsys, "counterexample", "--shape", "cubical", "--n", "1",
+        "--out", str(path))
+    code, out, _ = run(capsys, "coskeletal", str(path), "--from", "2",
+                       "--to", "4", "--budget-spheres", "3")
+    assert code == 3 and json.loads(out)["coskeletal"] is None
+    # a witness inside the truncated prefix still fails the window
+    code, out, _ = run(capsys, "coskeletal", str(path), "--from", "1",
+                       "--to", "2", "--budget-spheres", "5")
+    assert code == 1 and json.loads(out)["levels"][0]["unfilled"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["coskeletal", "{path}", "--from", "1", "--to", "2", "--seed", "1"],
+    ["coskeletal", "{path}", "--from", "-3", "--to", "2"],
+    ["verify", "--shape", "cubical", "--n", "1", "--truncate", "2"],
+    ["verify", "--shape", "globular", "--n", "1", "--truncate", "2"],
+])
+def test_refused_arguments_exit_2(tmp_path, capsys, argv):
+    # a removed option, a negative window start, and a truncation that
+    # leaves no level above the claimed bound
+    path = tmp_path / "ce.complex"
+    run(capsys, "counterexample", "--shape", "cubical", "--n", "1",
+        "--out", str(path))
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert code == 2 and out == ""
+    if "--seed" not in argv:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,6 +1,7 @@
 """Counterexample builders, bound certification, and the cyclic comparison."""
 
 import pytest
+from helpers import first_witness
 
 from aufhebung.bounds import (
     build_counterexample,
@@ -103,7 +104,7 @@ def test_cyclic_counterexample_n1():
     # not (2n - 2) = 0-coskeletal, witnessed at dimension 1
     rep = coskeletal_up_to(X, 0, 4)
     assert not rep.coskeletal
-    assert rep.first_witness()[0] == 1
+    assert first_witness(rep)[0] == 1
     # (2n + 1) = 3-coskeletal up to the truncation window
     assert coskeletal_up_to(X, 3, 4).coskeletal
 
@@ -113,7 +114,7 @@ def test_cyclic_counterexample_n2():
     assert s.k == 3
     assert brute_force_fill(X, s).status == "no_filler"
     rep = coskeletal_up_to(X, 2, 6)
-    assert not rep.coskeletal and rep.first_witness()[0] == 3
+    assert not rep.coskeletal and first_witness(rep)[0] == 3
     assert coskeletal_up_to(X, 5, 6).coskeletal
 
 

@@ -161,11 +161,11 @@ def test_format_round_trip():
 
 
 def test_underlying_simplex_morphism():
-    from aufhebung.shapes import lambda_normalize, underlying_simplex_morphism
-    f = lambda_normalize("d1 s0 s2", dom=4)
+    from aufhebung.shapes import underlying_simplex_morphism
+    f = normalize("cyclic", "d1 s0 s2", dom=4)
     assert f.rotation == 0
     assert underlying_simplex_morphism(f) == normalize("simplicial", "d1 s0 s2", dom=4)
     # the wrap-around degeneracy followed by d0 is a pure rotation
-    g = lambda_normalize("s3x d0", dom=2)
+    g = normalize("cyclic", "s3x d0", dom=2)
     assert g.rotation == 1
     assert underlying_simplex_morphism(g).is_identity

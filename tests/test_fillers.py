@@ -1,6 +1,7 @@
 """Spheres and fillers: cycle equations, constructive routes vs the oracle."""
 
 import pytest
+from helpers import enumerate_spheres, first_witness
 
 from aufhebung.bounds import (
     build_cubical_counterexample,
@@ -20,7 +21,6 @@ from aufhebung.fillers import (
     constructive_filler_globular,
     constructive_filler_simplicial,
     coskeletal_up_to,
-    enumerate_spheres,
     is_sphere,
     make_sphere,
     sphere_profile,
@@ -235,7 +235,7 @@ def test_coskeletal_witness_reported():
     X, s = build_cubical_counterexample(1)
     rep = coskeletal_up_to(X, 1, 4)
     assert not rep.coskeletal
-    k, witness = rep.first_witness()
+    k, witness = first_witness(rep)
     assert k == 2 and witness
 
 
@@ -281,26 +281,50 @@ def test_face_tables_built_once(monkeypatch):
         third.ids[2][X.cells_of_dim(2)[0]] = 0
 
 
-def test_sampled_mode_end_to_end():
-    # a tiny sphere budget forces the sampled fallback; verdicts and
-    # reports stay deterministic and correct
+def test_truncated_level_end_to_end():
+    # a tiny sphere budget truncates each level to its first spheres in
+    # scan order; a witness found there is genuine, but a truncated level
+    # without one is inconclusive, never a pass
     X, _ = build_cubical_counterexample(1)
-    rep = coskeletal_up_to(X, 1, 2, budget_spheres=5, seed=0, samples=40)
+    rep = coskeletal_up_to(X, 1, 2, budget_spheres=5)
     assert rep.partial
-    lv = rep.levels[0]
-    assert lv.coverage == "sampled"
-    assert lv.n_unfilled > 0 and not rep.coskeletal
-    again = coskeletal_up_to(X, 1, 2, budget_spheres=5, seed=0, samples=40)
-    assert rep.to_json() == again.to_json()
-    # on a genuinely coskeletal window the sampled verdict stays positive
-    ok_rep = coskeletal_up_to(X, 2, 4, budget_spheres=3, seed=0, samples=40)
-    assert ok_rep.partial and ok_rep.coskeletal
-    assert all(l.coverage == "sampled" for l in ok_rep.levels)
+    (lv,) = rep.levels
+    assert lv.coverage == "truncated"
+    assert lv.n_spheres == 5 and lv.n_unfilled == 3
+    assert lv.ok is False and rep.coskeletal is False
+    assert rep.to_json() == coskeletal_up_to(X, 1, 2, budget_spheres=5).to_json()
+    # the window (2, 4] is coskeletal, but three spheres per level show
+    # nothing about the rest
+    undecided = coskeletal_up_to(X, 2, 4, budget_spheres=3)
+    assert undecided.partial and undecided.coskeletal is None
+    assert all(l.coverage == "truncated" and l.n_spheres == 3 and l.ok is None
+               for l in undecided.levels)
+    assert undecided.to_dict()["coskeletal"] is None
+    assert all(l["ok"] is None for l in undecided.to_dict()["levels"])
+
+
+def test_coskeletal_rejects_negative_window_start():
+    X, _ = build_cubical_counterexample(1)
+    with pytest.raises(ValueError, match="must not be negative"):
+        coskeletal_up_to(X, -3, 2)
+
+
+def test_certify_rejects_vacuous_truncation():
+    # no level above the claimed bound would be checked
+    from aufhebung.bounds import certify
+    for shape, n, top in (("cubical", 1, 2), ("globular", 1, 2),
+                          ("cubical", 2, 3)):
+        with pytest.raises(ValueError, match="no level above the claimed bound"):
+            certify(shape, n, truncation=top)
+    extra = random_skeletal_complex("cubical", 1, seed=0, truncation=2)
+    with pytest.raises(ValueError, match="truncation 2 leaves no level"):
+        certify("cubical", 1, extra_complexes=[extra])
+    assert certify("cubical", 1, truncation=3).ok is True
 
 
 @pytest.mark.parametrize("limit", [
     {"budget_spheres": 0}, {"budget_spheres": -1},
-    {"budget_cells": 0}, {"samples": 0}, {"samples": -5},
+    {"budget_cells": 0},
 ])
 def test_coskeletal_rejects_non_positive_limits(limit):
     X, _ = build_cubical_counterexample(1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import empty_table
 from reference_scan import reference_sample, reference_scan
 
 from aufhebung import _kernels
@@ -31,12 +32,7 @@ def assert_same_scan(got, want):
     assert got.n_spheres == want.n_spheres
     assert got.n_missing == want.n_missing
     assert np.array_equal(got.missing, want.missing)
-    if want.stored is None:
-        assert got.stored is None
-    else:
-        assert np.array_equal(got.stored, want.stored)
     assert got.overflow == want.overflow
-    assert got.store_overflow == want.store_overflow
 
 
 @pytest.mark.parametrize("builder,shape,top", [
@@ -48,10 +44,11 @@ def test_backends_identical(builder, shape, top):
     X = builder()
     tab = X.tabulate(top)
     for k in range(1, top + 1):
-        kw = dict(budget=10 ** 6, miss_cap=32, store=True, store_cap=5000)
-        F2, B = tab.faces[k - 1], tab.faces[k]
-        assert_same_scan(_kernels.scan_spheres(F2, B, shape, k, **kw),
-                         reference_scan(F2, B, shape, k, **kw))
+        F2 = tab.faces[k - 1]
+        for B, kw in ((tab.faces[k], dict(budget=10 ** 6, miss_cap=32)),
+                      (empty_table(shape, k), dict(budget=10 ** 6, miss_cap=5000))):
+            assert_same_scan(_kernels.scan_spheres(F2, B, shape, k, **kw),
+                             reference_scan(F2, B, shape, k, **kw))
 
 
 def test_backends_identical_on_budget_overflow():
@@ -72,15 +69,17 @@ def test_blocks_split_inside_a_bucket():
     X = SkeletalComplex("cubical", 1, [GeneratorDecl("v", 0, ())] + [
         GeneratorDecl(f"e{i}", 1, (v, v)) for i in range(4)], truncation=2)
     tab = X.tabulate(2)
-    F2, B = tab.faces[1], tab.faces[2]
-    for kw in (dict(budget=10 ** 6, miss_cap=700),
-               dict(budget=600, miss_cap=50, store=True, store_cap=300)):
+    F2 = tab.faces[1]
+    # the second case lists the first 300 of 600 counted spheres
+    for B, kw in ((tab.faces[2], dict(budget=10 ** 6, miss_cap=700)),
+                  (empty_table("cubical", 2), dict(budget=600, miss_cap=300))):
         want = reference_scan(F2, B, "cubical", 2, **kw)
         for block in (1, 2, 7, 64):
             with mock.patch.object(_kernels, "BLOCK", block):
                 got = _kernels.scan_spheres(F2, B, "cubical", 2, **kw)
             assert_same_scan(got, want)
-    assert want.overflow and want.n_spheres == 600 and want.store_overflow is False
+    assert want.overflow and want.n_spheres == want.n_missing == 600
+    assert len(want.missing) == 300
 
 
 def test_reports_identical_across_backends():
@@ -105,8 +104,8 @@ def scan_inputs(draw):
                                          max_size=width),
                                 min_size=n, max_size=n)),
                   dtype=np.int32).reshape(n, width)
-    spheres = reference_scan(F2, np.zeros((0, slots), np.int32), shape, k,
-                             budget=400, store=True, store_cap=400).stored
+    spheres = reference_scan(F2, empty_table(shape, k), shape, k,
+                             budget=400, miss_cap=400).missing
     filled = [spheres[i] for i in draw(st.lists(
         st.integers(0, len(spheres) - 1), max_size=6))] if len(spheres) else []
     noise = draw(st.lists(st.lists(st.integers(0, max(n - 1, 0)), min_size=slots,
@@ -114,9 +113,7 @@ def scan_inputs(draw):
     B = np.array([list(r) for r in filled] + noise,
                  dtype=np.int32).reshape(-1, slots)
     kw = dict(budget=draw(st.integers(1, 450)),
-              miss_cap=draw(st.integers(0, 20)),
-              store=draw(st.booleans()),
-              store_cap=draw(st.integers(0, 40)))
+              miss_cap=draw(st.integers(0, 20)))
     return F2, B, shape, k, kw
 
 
@@ -154,9 +151,10 @@ def test_sampled_spheres_deterministic():
     assert a == b
     assert a != c or len(a) < 25
     # samples really are spheres: re-check against the exhaustive scan
-    full = _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2,
-                                 budget=10 ** 6, store=True, store_cap=10 ** 4)
-    all_rows = {tuple(map(int, r)) for r in full.stored}
+    full = _kernels.scan_spheres(tab.faces[1], empty_table("cubical", 2),
+                                 "cubical", 2, budget=10 ** 6, miss_cap=10 ** 4)
+    assert not full.overflow and full.n_missing <= 10 ** 4
+    all_rows = {tuple(map(int, r)) for r in full.missing}
     assert set(a) <= all_rows
 
 

@@ -3,6 +3,7 @@ the sphere kernel against a naive product-filter enumeration."""
 
 from itertools import product
 
+from helpers import empty_table
 from reference_scan import reference_is_sphere
 from reference_tables import ReferenceTables
 
@@ -98,10 +99,10 @@ def test_kernel_scan_matches_naive_enumeration():
     for X, ks in jobs:
         tab = X.tabulate(max(ks))
         for k in ks:
-            scan = _kernels.scan_spheres(tab.faces[k - 1], tab.faces[k],
+            scan = _kernels.scan_spheres(tab.faces[k - 1], empty_table(X.shape, k),
                                          X.shape, k, budget=10 ** 6,
-                                         store=True, store_cap=10 ** 5)
-            got = [tuple(map(int, row)) for row in scan.stored]
+                                         miss_cap=10 ** 5)
+            got = [tuple(map(int, row)) for row in scan.missing]
             want = _naive_spheres(X, tab, k)
             assert got == want, (X.shape, k)
 
