@@ -152,6 +152,11 @@ class _JoinIndex:
         return y[self.accept(d, np.broadcast_to(P, (len(y), d)), y)]
 
 
+def join_index(F2: np.ndarray, shape: str, k: int) -> _JoinIndex:
+    """The bucket index of the face table ``F2`` for the k-spheres of ``shape``."""
+    return _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), build_constraints(shape, k))
+
+
 class _Frontier:
     """Partial spheres with ``d`` slots filled, each with its bucket range
     for slot ``d``, read as one flat list of (prefix, candidate) pairs in
@@ -217,9 +222,8 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     require_positive(budget=budget)
     if miss_cap < 0:
         raise ValueError("miss_cap must not be negative")
-    cons = build_constraints(shape, k)
-    slots = len(cons)
-    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
+    index = join_index(F2, shape, k)
+    slots = len(index.cons)
     in_B = _row_set(B, slots)
     missing = [np.zeros((0, slots), dtype=np.int32)]
     n_sph = n_miss = n_kept = 0
@@ -251,17 +255,16 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
                       missing=np.concatenate(missing), overflow=overflow)
 
 
-def sample_spheres(F2: np.ndarray, shape: str, k: int, n_samples: int,
-                   seed: int, max_tries: int | None = None) -> list[tuple[int, ...]]:
+def sample_spheres(index: _JoinIndex, n_samples: int, seed: int,
+                   max_tries: int | None = None) -> list[tuple[int, ...]]:
     """Seeded random sphere sampling with per-slot constraint propagation.
 
-    Each slot draws uniformly from its candidates, in increasing id order,
-    given the slots before it.  Returns a sorted, duplicate-free list of
-    spheres; deterministic in (seed, n_samples).
+    ``index`` is a :func:`join_index` of the face table, so draws from one
+    table share one index.  Each slot draws uniformly from its candidates,
+    in increasing id order, given the slots before it.  Returns a sorted,
+    duplicate-free list of spheres; deterministic in (seed, n_samples).
     """
-    cons = build_constraints(shape, k)
-    slots = len(cons)
-    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
+    slots = len(index.cons)
     if max_tries is None:
         max_tries = 20 * n_samples
     rng = np.random.RandomState(seed)

@@ -298,9 +298,9 @@ def random_skeletal_complex(shape: str, n: int, seed: int,
     for d in range(1, n + 1):
         partial = SkeletalComplex(shape, d - 1, gens, truncation=truncation)
         tab = partial.tabulate(d - 1)
-        layer, F2 = tab.cells[d - 1], tab.faces[d - 1]
+        layer, index = tab.cells[d - 1], _kernels.join_index(tab.faces[d - 1], shape, d)
         for i in range(counts[d]):
-            rows = _kernels.sample_spheres(F2, shape, d, 1, int(rng.randint(2 ** 31)),
+            rows = _kernels.sample_spheres(index, 1, int(rng.randint(2 ** 31)),
                                            max_tries=max_tries)
             if not rows:
                 raise RuntimeError(

@@ -12,8 +12,10 @@ cell's epimorphism, splits off the mono part, and pushes the mono into
 the generator's attaching data recursively.
 
 :class:`TabulatedPresheaf` materialises all cells up to a dimension with
-integer ids and dense face tables, the input of the sphere scan.  The
-complex builds each layer's id map and face table once and keeps them.
+integer ids and dense face tables, the input of the sphere scan.  The face
+tables are gathered from the shape's integer face-step and epi-composition
+tables, not computed through the action.  The complex builds each layer's
+id map and face table once and keeps them.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ from .shapes import (
     CubeMorphism,
     CyclicMorphism,
     GlobeMorphism,
-    ShapeError,
     ShapeMorphism,
     SimplexMorphism,
     compose,
     count_epis,
     enumerate_epis,
     epi_mono_factor,
+    epi_rank,
+    face_arity,
     identity,
 )
 
@@ -92,18 +95,6 @@ class GeneratorDecl:
     name: str
     dim: int
     faces: tuple[Cell, ...]
-
-
-def face_arity(shape: str, dim: int) -> int:
-    if dim == 0:
-        return 0
-    if shape in ("simplicial", "cyclic"):
-        return dim + 1
-    if shape == "cubical":
-        return 2 * dim
-    if shape == "globular":
-        return 2
-    raise ShapeError(f"unknown shape {shape!r}")
 
 
 @dataclass(frozen=True)
@@ -388,14 +379,39 @@ class SkeletalComplex:
         return ids
 
     def _face_table(self, k: int) -> np.ndarray:
-        """The read-only int32 table of the k-cells' face ids, built once."""
+        """The read-only int32 table of the k-cells' face ids, built once.
+
+        Each generator's rows are one gather from the shape's integer
+        tables.  Row 0 of its ``targets`` holds the ids of its own
+        (k-1)-cells, where :func:`shapes.face_step` sends the faces its
+        epis absorb; row 1 + j holds, per epi [k-1] ->> [dim - 1], the id
+        of face j acted on by that epi, composed by
+        :func:`shapes.epi_composition`.
+        """
         table = self._faces_memo.get(k)
         if table is None:
-            layer = self.cells_of_dim(k)
-            fmaps = self.face_maps(k) if k >= 1 else []
-            below = self._layer_ids(k - 1)
-            table = np.array([[below[self.act(c, fm)] for fm in fmaps] for c in layer],
-                             dtype=np.int32).reshape(len(layer), len(fmaps))
+            offset, first = {}, 0
+            for name, g in self.generators.items():
+                offset[name] = first
+                first += count_epis(k - 1, g.dim, self.shape)
+            blocks = [np.zeros((0, face_arity(self.shape, k)), np.int32)]
+            for name, g in self.generators.items():
+                if g.dim > k:
+                    continue
+                face, epi = shapes.face_step(self.shape, k, g.dim)
+                n_own = count_epis(k - 1, g.dim, self.shape)
+                n_sub = count_epis(k - 1, g.dim - 1, self.shape)
+                targets = np.full((1 + len(g.faces), max(n_own, n_sub)), -1, np.int32)
+                targets[0, :n_own] = offset[name] + np.arange(n_own)
+                for j, c in enumerate(g.faces):
+                    if c.dim != g.dim - 1:
+                        raise ComplexError(f"face {c!r} of {name!r} has dimension"
+                                           f" {c.dim}, expected {g.dim - 1}")
+                    comp = shapes.epi_composition(self.shape, k - 1, g.dim - 1,
+                                                  c.generator_dim)
+                    targets[1 + j, :n_sub] = offset[c.generator] + comp[:, epi_rank(c.epi)]
+                blocks.append(targets[face + 1, epi])
+            table = np.concatenate(blocks)
             table.flags.writeable = False
             self._faces_memo[k] = table
         return table

@@ -466,6 +466,8 @@ def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
                               budget_cells=budget_cells)
     if k_min < 0:
         raise ValueError(f"the window start must not be negative, not {k_min}")
+    if upper <= k_min:
+        raise ValueError(f"the window ({k_min}, {upper}] holds no level")
     if upper > X.truncation:
         raise TruncationError(f"window top {upper} exceeds truncation")
     tab = X.tabulate(upper, budget_cells=budget_cells)

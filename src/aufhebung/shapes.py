@@ -25,14 +25,21 @@ equality.
 Composition is functional: ``compose(f, g)`` applies ``g`` first.  Word
 syntax in :func:`parse_word` is whitespace separated and applied right to
 left, matching the composition order.
+
+Tabulation does not use the morphism objects: :func:`face_step` and
+:func:`epi_composition` give the same facts about epis as integer tables,
+computed from integer data alone.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+
+import numpy as np
 
 SHAPES = ("simplicial", "cubical", "globular", "cyclic")
 
@@ -401,32 +408,35 @@ class GlobeMorphism:
 # x -> x + 1; a monotone map lifts periodically.
 
 
-def _pair_from_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int, SimplexMorphism]:
-    """Extract the unique (rotation, monotone part) pair from a lift window.
+def _lift_at(window: tuple[int, ...], cod: int, x: int) -> int:
+    """Value at any integer x of the degree-one lift with this window on
+    0..dom, where dom = len(window) - 1."""
+    q, rem = divmod(x, len(window))
+    return window[rem] + q * (cod + 1)
 
-    ``vals`` gives the lift on 0..dom, already normalised so that
-    0 <= vals[0] <= cod.
+
+def _split_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The unique (rotation, monotone value table) pair of a lift window.
+
+    ``vals`` gives a lift on 0..dom; it is first shifted by a multiple of
+    cod + 1 so that 0 <= vals[0] <= cod.
     """
     if len(vals) != dom + 1:
         raise ShapeError("lift window has wrong length")
+    shift = (vals[0] % (cod + 1)) - vals[0]
+    vals = tuple(v + shift for v in vals)
     if any(vals[k] > vals[k + 1] for k in range(dom)):
         raise ShapeError("lift is not monotone")
     if vals[dom] > vals[0] + cod + 1:
         raise ShapeError("lift violates the degree-one bound")
-
-    def lift_at(x: int) -> int:
-        q, rem = divmod(x, dom + 1)
-        return vals[rem] + q * (cod + 1)
-
     matches = []
     for r in range(dom + 1):
-        table = tuple(lift_at(y - r) for y in range(dom + 1))
+        table = tuple(_lift_at(vals, cod, y - r) for y in range(dom + 1))
         if 0 <= table[0] and table[-1] <= cod:
             matches.append((r, table))
     if len(matches) != 1:
         raise ShapeError(f"lift does not determine a unique rotation: {matches!r}")
-    r, table = matches[0]
-    return r, SimplexMorphism.from_table(dom, cod, table)
+    return matches[0]
 
 
 @dataclass(frozen=True)
@@ -482,10 +492,8 @@ class CyclicMorphism:
 
     @classmethod
     def from_lift(cls, dom: int, cod: int, vals: tuple[int, ...]) -> "CyclicMorphism":
-        shift = (vals[0] % (cod + 1)) - vals[0]
-        vals = tuple(v + shift for v in vals)
-        r, d = _pair_from_lift(dom, cod, vals)
-        return cls(r, d)
+        r, table = _split_lift(dom, cod, vals)
+        return cls(r, SimplexMorphism.from_table(dom, cod, table))
 
     def lift(self, x: int) -> int:
         """Value of the canonical lift at any integer."""
@@ -673,6 +681,25 @@ def epi_mono_factor(f: ShapeMorphism) -> tuple[ShapeMorphism, ShapeMorphism]:
     raise ShapeError(f"unknown morphism type {type(f)!r}")
 
 
+def _epi_keys(shape: str, n: int, m: int) -> list:
+    """Integer data of the epis [n] ->> [m], in rank order.
+
+    Ordinals: the degeneracy indices; cubes: the deleted coordinates,
+    0-based; globes: (); cyclic: (rotation, degeneracy indices).  The
+    rank order is the order of :func:`enumerate_epis` and so of the cells
+    over a generator.
+    """
+    if m > n or m < 0:
+        return []
+    if shape in ("simplicial", "cubical"):
+        return list(combinations(range(n), n - m))
+    if shape == "globular":
+        return [()]
+    if shape == "cyclic":
+        return [(r, js) for r in range(n + 1) for js in combinations(range(n), n - m)]
+    raise ShapeError(f"unknown shape {shape!r}")
+
+
 def enumerate_epis(n: int, m: int, shape: str) -> list[ShapeMorphism]:
     """All canonical epimorphisms from dimension n onto dimension m.
 
@@ -680,21 +707,14 @@ def enumerate_epis(n: int, m: int, shape: str) -> list[ShapeMorphism]:
     binomial(n, n - m); for the cyclic category each choice additionally
     carries one of n + 1 rotations.
     """
-    if m > n or m < 0:
-        return []
+    keys = _epi_keys(shape, n, m)
     if shape == "simplicial":
-        return [SimplexMorphism(n, m, (), js)
-                for js in combinations(range(n), n - m)]
+        return [SimplexMorphism(n, m, (), js) for js in keys]
     if shape == "cubical":
-        return [CubeMorphism(n, m, (), js)
-                for js in combinations(range(1, n + 1), n - m)]
+        return [CubeMorphism(n, m, (), tuple(d + 1 for d in ds)) for ds in keys]
     if shape == "globular":
-        return [GlobeMorphism(n, m, ("iot",) * (n - m))]
-    if shape == "cyclic":
-        return [CyclicMorphism(r, SimplexMorphism(n, m, (), js))
-                for r in range(n + 1)
-                for js in combinations(range(n), n - m)]
-    raise ShapeError(f"unknown shape {shape!r}")
+        return [GlobeMorphism(n, m, ("iot",) * (n - m)) for _ in keys]
+    return [CyclicMorphism(r, SimplexMorphism(n, m, (), js)) for r, js in keys]
 
 
 def enumerate_monos(m: int, n: int, shape: str) -> list[ShapeMorphism]:
@@ -720,6 +740,19 @@ def enumerate_monos(m: int, n: int, shape: str) -> list[ShapeMorphism]:
         return [CyclicMorphism(r, d)
                 for r in range(m + 1)
                 for d in enumerate_monos(m, n, "simplicial")]
+    raise ShapeError(f"unknown shape {shape!r}")
+
+
+def face_arity(shape: str, dim: int) -> int:
+    """Number of elementary faces of a cell of dimension ``dim``."""
+    if dim == 0:
+        return 0
+    if shape in ("simplicial", "cyclic"):
+        return dim + 1
+    if shape == "cubical":
+        return 2 * dim
+    if shape == "globular":
+        return 2
     raise ShapeError(f"unknown shape {shape!r}")
 
 
@@ -749,3 +782,124 @@ def underlying_simplex_morphism(f: CyclicMorphism) -> SimplexMorphism:
     if not isinstance(f, CyclicMorphism):
         raise ShapeError("underlying_simplex_morphism takes a cyclic morphism")
     return f.delta_part
+
+
+# ---------------------------------------------------------------------------
+# integer epi tables
+#
+# The k-cells over a generator of dimension m are its epis [k] ->> [m], in
+# the order of :func:`_epi_keys`; an epi's *rank* is its position there.
+# The tables below depend on the shape alone.  They are built from
+# integer data (degeneracy index tuples, delete sets, lift windows), never
+# from morphism objects, and are cached per process as read-only arrays;
+# one table per (shape, dimensions) key, and the keys are small.
+
+
+@lru_cache(maxsize=None)
+def _epi_ranks(shape: str, n: int, m: int) -> dict:
+    return {key: rank for rank, key in enumerate(_epi_keys(shape, n, m))}
+
+
+def epi_rank(f: ShapeMorphism) -> int:
+    """Position of the canonical epi ``f`` in ``enumerate_epis(f.dom, f.cod, f.shape)``."""
+    if isinstance(f, SimplexMorphism):
+        key = f.epis
+    elif isinstance(f, CubeMorphism):
+        key = tuple(d - 1 for d in f.deletes)
+    elif isinstance(f, GlobeMorphism):
+        key = ()
+    else:
+        key = (f.rotation, f.delta_part.epis)
+    return _epi_ranks(f.shape, f.dom, f.cod)[key]
+
+
+def _epi_values(n: int, js: tuple[int, ...]) -> tuple[int, ...]:
+    """Value table on 0..n of the monotone surjection with degeneracy indices js."""
+    return tuple(p - sum(1 for j in js if j < p) for p in range(n + 1))
+
+
+def _merges(table: tuple[int, ...]) -> tuple[int, ...]:
+    """Degeneracy indices of a monotone value table: where it repeats."""
+    return tuple(x for x in range(len(table) - 1) if table[x] == table[x + 1])
+
+
+def _missed(table: tuple[int, ...], m: int) -> int:
+    """The value in 0..m a monotone table misses, or -1 (at most one is)."""
+    return next((c for c in range(m + 1) if c not in table), -1)
+
+
+def _face_step_entry(shape: str, k: int, m: int, key, slot: int) -> tuple[int, object]:
+    """(generator face j or -1, integer data of the epi) of (epi . face map in slot)."""
+    if shape == "globular":
+        return (-1 if k > m else slot), ()
+    if shape == "cubical":
+        pos, sign = divmod(slot, 2)
+        rest = tuple(d if d < pos else d - 1 for d in key if d != pos)
+        if pos in key:
+            return -1, rest
+        return 2 * (pos - sum(1 for d in key if d < pos)) + sign, rest
+    # the elementary face map d_slot : [k - 1] -> [k]
+    skip = tuple(x if x < slot else x + 1 for x in range(k))
+    if shape == "simplicial":
+        values = _epi_values(k, key)
+        table = tuple(values[x] for x in skip)
+        return _missed(table, m), _merges(table)
+    rot, js = key
+    values = _epi_values(k, js)
+    r, table = _split_lift(k - 1, m, tuple(_lift_at(values, m, x + rot) for x in skip))
+    return _missed(table, m), (r, _merges(table))
+
+
+@lru_cache(maxsize=None)
+def face_step(shape: str, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The face step from dimension k over a generator of dimension m.
+
+    Returns two read-only int32 arrays ``face`` and ``epi`` of shape
+    (epis [k] ->> [m], slots), slots in the order of
+    ``SkeletalComplex.face_maps(k)``.  The face in a slot of the k-cell
+    (g, epi of rank e) is (g, epi of rank ``epi[e, slot]`` onto [m]) when
+    ``face[e, slot]`` is -1, since the epi absorbs the face map; otherwise
+    it is generator face ``face[e, slot]`` of g acted on by the epi
+    [k - 1] ->> [m - 1] of rank ``epi[e, slot]`` (the unique epi-mono
+    factorisation).
+    """
+    slots = face_arity(shape, k)
+    keys = _epi_keys(shape, k, m)
+    face = np.zeros((len(keys), slots), np.int32)
+    epi = np.zeros((len(keys), slots), np.int32)
+    for e, key in enumerate(keys):
+        for slot in range(slots):
+            j, rest = _face_step_entry(shape, k, m, key, slot)
+            face[e, slot] = j
+            epi[e, slot] = _epi_ranks(shape, k - 1, m if j < 0 else m - 1)[rest]
+    face.flags.writeable = epi.flags.writeable = False
+    return face, epi
+
+
+def _compose_keys(shape: str, a: int, b: int, c: int, first, then):
+    """Integer data of the composite [a] ->> [b] ->> [c], ``first`` applied first."""
+    if shape == "globular":
+        return ()
+    if shape == "cubical":
+        survivors = [x for x in range(a) if x not in first]
+        return tuple(sorted(first + tuple(survivors[d] for d in then)))
+    if shape == "simplicial":
+        inner, outer = _epi_values(a, first), _epi_values(b, then)
+        return _merges(tuple(outer[v] for v in inner))
+    (r1, js1), (r2, js2) = first, then
+    inner, outer = _epi_values(a, js1), _epi_values(b, js2)
+    r, table = _split_lift(a, c, tuple(
+        _lift_at(outer, c, _lift_at(inner, b, x + r1) + r2) for x in range(a + 1)))
+    return r, _merges(table)
+
+
+@lru_cache(maxsize=None)
+def epi_composition(shape: str, a: int, b: int, c: int) -> np.ndarray:
+    """Read-only int32 table: (rank of [a] ->> [b], rank of [b] ->> [c]) ->
+    rank of their composite [a] ->> [c]."""
+    firsts, thens = _epi_keys(shape, a, b), _epi_keys(shape, b, c)
+    ranks = _epi_ranks(shape, a, c)
+    out = np.array([[ranks[_compose_keys(shape, a, b, c, f, t)] for t in thens]
+                    for f in firsts], np.int32).reshape(len(firsts), len(thens))
+    out.flags.writeable = False
+    return out

@@ -1,6 +1,9 @@
 """Test-side oracle tables for ``TabulatedPresheaf``.
 
-The package tabulates face tables only, the input of the sphere scan.
+The package tabulates face tables only, the input of the sphere scan, and
+gathers them from the shape's integer face-step and epi-composition
+tables.  :func:`act_face_table` builds the same table the direct way, by
+acting on every cell with every elementary face map.
 :class:`ReferenceTables` adds, from ``X.act`` and ``X.degeneracy_maps``,
 the elementary degeneracy tables and, for cyclic complexes, the basic
 rotation of each layer.  On those tables it checks every defining relation
@@ -13,6 +16,15 @@ import numpy as np
 
 from aufhebung.complexes import ComplexError
 from aufhebung.shapes import CyclicMorphism, ShapeMorphism, enumerate_epis
+
+
+def act_face_table(X, k):
+    """The int32 face table of the k-cells of ``X``, built through ``X.act``."""
+    layer = X.cells_of_dim(k)
+    fmaps = X.face_maps(k) if k >= 1 else []
+    below = {c: j for j, c in enumerate(X.cells_of_dim(k - 1))}
+    return np.array([[below[X.act(c, fm)] for fm in fmaps] for c in layer],
+                    dtype=np.int32).reshape(len(layer), len(fmaps))
 
 
 class ReferenceTables:

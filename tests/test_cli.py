@@ -231,3 +231,25 @@ def test_refused_arguments_exit_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     if "--seed" not in argv:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("k_min,upper", [("5", "3"), ("3", "3")])
+def test_coskeletal_empty_window_exit_2(tmp_path, capsys, k_min, upper):
+    path = tmp_path / "ce.complex"
+    run(capsys, "counterexample", "--shape", "cubical", "--n", "2",
+        "--out", str(path))
+    code, out, err = run(capsys, "coskeletal", str(path), "--from", k_min,
+                         "--to", upper)
+    assert code == 2 and out == ""
+    assert err == f"error: the window ({k_min}, {upper}] holds no level\n"
+
+
+def test_coskeletal_face_of_wrong_dimension_exit_2(tmp_path, capsys):
+    # the parser checks arity, not face dimensions; tabulation refuses them
+    path = tmp_path / "bad.complex"
+    path.write_text("shape simplicial\nskeletal 2\ngen v dim 0\n"
+                    "gen e dim 1 faces v v\ngen x dim 2 faces v v v\n")
+    code, out, err = run(capsys, "coskeletal", str(path), "--from", "1",
+                         "--to", "3")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "has dimension 0, expected 1" in err

@@ -309,6 +309,14 @@ def test_coskeletal_rejects_negative_window_start():
         coskeletal_up_to(X, -3, 2)
 
 
+def test_coskeletal_rejects_empty_window():
+    # a window with no level checks nothing, so it certifies nothing
+    X, _ = build_cubical_counterexample(2)
+    for k_min, upper in ((5, 3), (3, 3)):
+        with pytest.raises(ValueError, match="holds no level"):
+            coskeletal_up_to(X, k_min, upper)
+
+
 def test_certify_rejects_vacuous_truncation():
     # no level above the claimed bound would be checked
     from aufhebung.bounds import certify

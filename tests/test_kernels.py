@@ -131,8 +131,11 @@ def test_scan_matches_reference(inputs, block):
 @given(scan_inputs(), st.integers(1, 30), st.integers(0, 2 ** 31 - 1))
 def test_sample_matches_reference(inputs, n_samples, seed):
     F2, _, shape, k, _ = inputs
-    assert (_kernels.sample_spheres(F2, shape, k, n_samples, seed)
-            == reference_sample(F2, shape, k, n_samples, seed))
+    index = _kernels.join_index(F2, shape, k)
+    want = reference_sample(F2, shape, k, n_samples, seed)
+    assert _kernels.sample_spheres(index, n_samples, seed) == want
+    # an index serves any number of draws and is left as it was
+    assert _kernels.sample_spheres(index, n_samples, seed) == want
 
 
 def test_scan_rejects_non_positive_budget():
@@ -145,9 +148,10 @@ def test_scan_rejects_non_positive_budget():
 def test_sampled_spheres_deterministic():
     X = build_cubical_counterexample(1)[0]
     tab = X.tabulate(3)
-    a = _kernels.sample_spheres(tab.faces[1], "cubical", 2, 25, seed=0)
-    b = _kernels.sample_spheres(tab.faces[1], "cubical", 2, 25, seed=0)
-    c = _kernels.sample_spheres(tab.faces[1], "cubical", 2, 25, seed=1)
+    index = _kernels.join_index(tab.faces[1], "cubical", 2)
+    a = _kernels.sample_spheres(index, 25, seed=0)
+    b = _kernels.sample_spheres(_kernels.join_index(tab.faces[1], "cubical", 2), 25, seed=0)
+    c = _kernels.sample_spheres(index, 25, seed=1)
     assert a == b
     assert a != c or len(a) < 25
     # samples really are spheres: re-check against the exhaustive scan

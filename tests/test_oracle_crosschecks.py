@@ -3,12 +3,15 @@ the sphere kernel against a naive product-filter enumeration."""
 
 from itertools import product
 
+import numpy as np
+import pytest
 from helpers import empty_table
 from reference_scan import reference_is_sphere
-from reference_tables import ReferenceTables
+from reference_tables import ReferenceTables, act_face_table
 
 from aufhebung import _kernels
 from aufhebung.bounds import (
+    build_counterexample,
     build_cubical_counterexample,
     build_cyclic_counterexample,
     build_globular_counterexample,
@@ -21,6 +24,8 @@ from aufhebung.shapes import (
     CyclicMorphism,
     SimplexMorphism,
     compose,
+    epi_composition,
+    face_step,
 )
 
 
@@ -48,6 +53,49 @@ def test_cyclic_presentation_identities():
         for i in range(n):
             assert compose(t, s(i, n + 1)) == compose(s(i + 1, n + 1), t_hi)
         assert compose(t, s(n, n + 1)) == compose(wrap, t_hi)
+
+
+TABLE_CASES = [("cubical", n) for n in (1, 2, 3)] + [("simplicial", 3), ("simplicial", 4)] \
+    + [("globular", n) for n in (1, 2, 3)] + [("cyclic", 1), ("cyclic", 2)]
+
+
+@pytest.mark.parametrize("shape,n", TABLE_CASES)
+def test_face_tables_match_act_oracle(shape, n):
+    # the counterexample and three random complexes, at default truncation
+    for X in [build_counterexample(shape, n)[0]] + [
+            random_skeletal_complex(shape, n, seed) for seed in (1, 2, 3)]:
+        faces = X.tabulate(X.truncation).faces
+        for k, got in enumerate(faces):
+            want = act_face_table(X, k)
+            assert got.dtype == want.dtype == np.int32
+            assert got.shape == want.shape and np.array_equal(got, want), (shape, n, k)
+
+
+def test_shape_tables_are_read_only():
+    for shape in ("simplicial", "cubical", "globular", "cyclic"):
+        for table in face_step(shape, 3, 1) + (epi_composition(shape, 3, 2, 1),):
+            assert table.size and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        assert face_step(shape, 3, 1)[0] is face_step(shape, 3, 1)[0]
+
+
+def test_shape_tables_build_no_morphisms(monkeypatch):
+    # integer data only: no morphism is constructed, composed or factored
+    from aufhebung import shapes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shape table touched the morphism algebra")
+
+    for cls in (shapes.SimplexMorphism, shapes.CubeMorphism,
+                shapes.GlobeMorphism, shapes.CyclicMorphism):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(shapes, "compose", refuse)
+    monkeypatch.setattr(shapes, "epi_mono_factor", refuse)
+    for shape in ("simplicial", "cubical", "globular", "cyclic"):
+        # past the cache, so the tables are really built here
+        face_step.__wrapped__(shape, 5, 2)
+        epi_composition.__wrapped__(shape, 5, 3, 1)
 
 
 def test_tables_satisfy_all_relations():
