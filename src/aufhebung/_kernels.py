@@ -10,15 +10,23 @@ spheres is a conjunctive query over the face table ``F2``, each equation an
 equi-join predicate.  :func:`scan_spheres` answers it with one numpy kernel
 that extends a frontier of partial spheres slot by slot:
 
+* :func:`plan_slots` fixes the order in which slots are filled, greedily:
+  next comes the slot with the most equations to the slots already placed
+  (the variable order of generic join), and each equation is re-oriented
+  toward the slot placed earlier.  Cubes are filled (1,0), (2,0), ...,
+  (k,0), (1,1), ..., (k,1), so every slot after the first is bound by an
+  equation; the other shapes keep the given order;
 * every constrained column of ``F2`` is argsorted once per scan into a
   bucket index; a slot's candidates are the bucket of its first equation,
   filtered by its other equations;
 * the frontier is a stack of lexicographic blocks, and one expansion
   materialises at most ``BLOCK`` (prefix, candidate) pairs, so memory
   stays O(BLOCK x slots) and spheres come out in depth-first order of
-  increasing cell id;
-* finished spheres are looked up in the k-cell boundary table one block
-  at a time.
+  increasing cell id over the planned slot order;
+* finished spheres are looked up in the k-cell boundary table, its columns
+  permuted into planned order once, one block at a time; the unfilled
+  spheres reported are the lexicographically smallest in the given slot
+  order, kept by a running merge.
 
 Fillers are rows of the dimension-k face table, so existence is a sorted
 row membership test and uniqueness is duplicate-row detection.  The
@@ -28,6 +36,7 @@ benchmark in ``perfbench/`` times the scan end to end and per layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,13 +83,51 @@ def build_constraints(shape: str, k: int) -> list[list[tuple[int, int, int]]]:
     raise ValueError(f"unknown shape {shape!r}")
 
 
+@lru_cache(maxsize=None)
+def plan_slots(shape: str, k: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """The order in which the scan fills the slots of a k-sphere, and the
+    cycle equations re-oriented to it.
+
+    Returns ``(order, cons)``: ``order[p]`` is the slot filled p-th, and
+    ``cons[p]`` lists ``(q, col_new, col_prev)`` for each equation between
+    slot ``order[p]`` and an earlier-filled slot ``order[q]``, q < p, in
+    the form of :func:`build_constraints`.  Slot 0 comes first; next, the
+    unplaced slot with the most equations to placed slots, the lowest
+    index on a tie.  Cached per process; both are tuples.
+    """
+    cons = build_constraints(shape, k)
+    # every equation once from each end: (other slot, own column, other column)
+    ends: list[list[tuple[int, int, int]]] = [[] for _ in cons]
+    for new, row in enumerate(cons):
+        for prev, c_new, c_prev in row:
+            ends[new].append((prev, c_new, c_prev))
+            ends[prev].append((new, c_prev, c_new))
+    order: list[int] = []
+    pos = {}
+    while len(order) < len(cons):
+        slot = max((t for t in range(len(cons)) if t not in pos),
+                   key=lambda t: (sum(o in pos for o, _, _ in ends[t]), -t))
+        pos[slot] = len(order)
+        order.append(slot)
+    planned = tuple(tuple(sorted((pos[o], c_own, c_other)
+                                 for o, c_own, c_other in ends[slot]
+                                 if pos[o] < pos[slot]))
+                    for slot in order)
+    return tuple(order), planned
+
+
+def _lex_order(A: np.ndarray) -> np.ndarray:
+    """Row order that sorts ``A`` lexicographically, column 0 first."""
+    return np.lexsort(A.T[::-1])
+
+
 def duplicate_row_groups(B: np.ndarray) -> list[np.ndarray]:
     """Groups of row indices of B sharing an identical row (size >= 2)."""
     if B.shape[0] == 0:
         return []
     if B.shape[1] == 0:
         return [np.arange(B.shape[0])] if B.shape[0] >= 2 else []
-    order = np.lexsort(B.T[::-1])
+    order = _lex_order(B)
     S = B[order]
     same = np.all(S[1:] == S[:-1], axis=1)
     groups = []
@@ -207,26 +254,50 @@ class SphereScan:
     overflow: bool
 
 
+def _lex_le(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``A`` lexicographically at or below ``t``."""
+    diff = A != t
+    first = np.argmax(diff, axis=1)
+    return ~diff.any(axis=1) | (A[np.arange(len(A)), first] < t[first])
+
+
+def _prefix_cut(A: np.ndarray, t: np.ndarray, width: int) -> int:
+    """Number of leading rows of ``A``, sorted on its first ``width``
+    columns, whose first ``width`` columns are at or below those of ``t``."""
+    lo, hi = 0, len(A)
+    for c in range(width):
+        col = A[lo:hi, c]
+        lo, hi = (lo + int(np.searchsorted(col, t[c], "left")),
+                  lo + int(np.searchsorted(col, t[c], "right")))
+    return hi
+
+
 def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
                  budget: int = 10 ** 6, miss_cap: int = 16) -> SphereScan:
     """Enumerate the k-spheres over the face table ``F2`` of (k-1)-cells.
 
     ``B`` is the boundary table of k-cells (one row per cell, in sphere
     slot order); a sphere with no matching row has no filler.  Spheres are
-    counted in lexicographic slot order, and ``missing`` holds the first
-    ``miss_cap`` unfilled ones.  When more than ``budget`` spheres exist,
-    only the first ``budget`` are counted and ``overflow`` is set: every
-    count then describes that prefix.  Against an empty ``B`` every sphere
-    is missing, which lists the spheres themselves.
+    counted in lexicographic order of the planned slot order of
+    :func:`plan_slots`, and ``missing`` holds the lexicographically
+    smallest ``miss_cap`` unfilled ones, in slot order.  When more than
+    ``budget`` spheres exist, only the first ``budget`` in planned order
+    are counted and ``overflow`` is set: every count, and ``missing``,
+    then describes that prefix.  Against an empty ``B`` every sphere is
+    missing, which lists the spheres themselves.
     """
     require_positive(budget=budget)
     if miss_cap < 0:
         raise ValueError("miss_cap must not be negative")
-    index = join_index(F2, shape, k)
-    slots = len(index.cons)
-    in_B = _row_set(B, slots)
-    missing = [np.zeros((0, slots), dtype=np.int32)]
-    n_sph = n_miss = n_kept = 0
+    order, cons = plan_slots(shape, k)
+    index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
+    slots = len(cons)
+    in_B = _row_set(B[:, list(order)], slots)
+    # planned column p holds slot order[p], so spheres sort on the slots
+    # before the first p with order[p] != p in both orders
+    agree = next((p for p, t in enumerate(order) if p != t), slots)
+    kept = np.zeros((0, slots), dtype=np.int32)
+    n_sph = n_miss = 0
     overflow = False
     root = np.zeros((1, 0), dtype=np.int32)
     stack = [_Frontier(0, root, *index.ranges(0, root))]
@@ -249,10 +320,24 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
         n_sph += len(Q)
         miss = Q[~in_B(Q)]
         n_miss += len(miss)
-        missing.append(miss[:miss_cap - n_kept])
-        n_kept += len(missing[-1])
+        # nothing to keep, or this block and every later one sort after
+        # the kept rows
+        if not len(miss) or not miss_cap or (
+                len(kept) == miss_cap
+                and tuple(miss[0, :agree]) > tuple(kept[-1, :agree])):
+            continue
+        # merge: only rows at or below the miss_cap-th smallest of the kept
+        # rows and the block's first miss_cap rows can be among the smallest
+        to_slot_order = np.argsort(order)
+        rows = np.concatenate([kept, miss[:miss_cap, to_slot_order]])
+        if len(rows) >= miss_cap:
+            t = rows[_lex_order(rows)[miss_cap - 1]]
+            miss = miss[:_prefix_cut(miss, t, agree)]
+            rows = np.concatenate([kept, miss[:, to_slot_order]])
+            rows = rows[_lex_le(rows, t)]
+        kept = rows[_lex_order(rows)[:miss_cap]]
     return SphereScan(n_spheres=n_sph, n_missing=n_miss,
-                      missing=np.concatenate(missing), overflow=overflow)
+                      missing=kept, overflow=overflow)
 
 
 def sample_spheres(index: _JoinIndex, n_samples: int, seed: int,

@@ -86,6 +86,17 @@ def cmd_normalize(args) -> int:
     return 0
 
 
+def _load_valid(path: str) -> complexes.SkeletalComplex:
+    """The complex in ``path``; ValueError naming its first violation if
+    it does not validate."""
+    X = fileio.load_complex(path)
+    rep = X.validate()
+    if not rep.ok:
+        v = rep.violations[0]
+        raise ValueError(f"invalid complex [{v.generator}] {v.kind}: {v.detail}")
+    return X
+
+
 def cmd_validate(args) -> int:
     X = fileio.load_complex(args.file)
     rep = X.validate()
@@ -100,7 +111,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fill(args) -> int:
-    X = fileio.load_complex(args.file)
+    X = _load_valid(args.file)
     s = fileio.parse_sphere(X, args.sphere)
     ok, why = fillers.is_sphere(X, s)
     if not ok:
@@ -126,7 +137,7 @@ def cmd_fill(args) -> int:
 
 
 def cmd_coskeletal(args) -> int:
-    X = fileio.load_complex(args.file)
+    X = _load_valid(args.file)
     rep = fillers.coskeletal_up_to(
         X, args.k_min, args.upper, budget_spheres=args.budget_spheres,
         budget_cells=args.budget_cells)

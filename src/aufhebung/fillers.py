@@ -459,7 +459,8 @@ def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
 
     Each level is scanned exhaustively.  A level with more than
     ``budget_spheres`` spheres reports its first ``budget_spheres`` in
-    scan order, marked ``truncated``: an unfilled or multi-filled sphere
+    the scan's planned slot order (``_kernels.plan_slots``), marked
+    ``truncated``: an unfilled or multi-filled sphere
     found there still fails the level, but the level never passes.
     """
     _kernels.require_positive(budget_spheres=budget_spheres,

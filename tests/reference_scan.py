@@ -3,8 +3,11 @@
 A plain depth-first search over the face table, one candidate cell at a
 time, written from the definition: slot ``d`` of a sphere may hold any
 cell ``y`` with ``F2[y, col_new] == F2[prev, col_prev]`` for every cycle
-equation of slot ``d``.  The tests compare the numpy join kernel against
-it.
+equation of slot ``d``.  The scan fills the slots in the order of
+``plan_slots``, so its spheres come sorted by that key; the reference
+searches in the same slot order but checks the equations as
+``build_constraints`` states them, not as the plan re-orients them.  The
+tests compare the numpy join kernel against it.
 
 :func:`reference_is_sphere` states the cycle equations a second time, by
 hand and through ``X.act``, so that ``build_constraints`` and the kernel
@@ -16,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from aufhebung._kernels import SphereScan, build_constraints
+from aufhebung._kernels import SphereScan, build_constraints, plan_slots
 from aufhebung.shapes import (
     CubeMorphism,
     CyclicMorphism,
@@ -31,23 +34,39 @@ def _candidates(F, eqs, prefix):
                    for s, c_new, c_prev in eqs[len(prefix)])]
 
 
-def _spheres(F, eqs, prefix=()):
-    if len(prefix) == len(eqs):
-        yield prefix
+def _spheres(F, eqs, order, placed=()):
+    """Spheres sorted by their slots read in ``order``: ``placed`` holds the
+    cells of slots ``order[:len(placed)]``."""
+    if len(placed) == len(eqs):
+        sphere = [0] * len(eqs)
+        for t, y in zip(order, placed):
+            sphere[t] = y
+        yield tuple(sphere)
         return
-    for y in _candidates(F, eqs, prefix):
-        yield from _spheres(F, eqs, prefix + (y,))
+    at = dict(zip(order, placed))
+    new = order[len(placed)]
+    # every equation between ``new`` and a filled slot, from either end
+    checks = [(c_new, at[prev], c_prev) for prev, c_new, c_prev in eqs[new]
+              if prev in at]
+    checks += [(c_prev, at[d], c_new) for d, row in enumerate(eqs) if d in at
+               for prev, c_new, c_prev in row if prev == new]
+    for y in range(len(F)):
+        if all(F[y][a] == F[z][b] for a, z, b in checks):
+            yield from _spheres(F, eqs, order, placed + (y,))
 
 
 def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16):
-    """The result ``scan_spheres`` must return, found by plain DFS."""
+    """The result ``scan_spheres`` must return, found by plain DFS: the
+    first ``budget`` spheres in planned order are counted, and the
+    lexicographically smallest ``miss_cap`` unfilled ones are listed."""
     eqs = build_constraints(shape, k)
+    order, _ = plan_slots(shape, k)
     F = np.asarray(F2).tolist()
     filled = {tuple(row) for row in np.asarray(B).tolist()}
-    found = list(islice(_spheres(F, eqs), budget + 1))
+    found = list(islice(_spheres(F, eqs, order), budget + 1))
     counted = found[:budget]
     overflow = len(found) > budget
-    missing = [s for s in counted if s not in filled]
+    missing = sorted(s for s in counted if s not in filled)
     return SphereScan(
         n_spheres=len(counted),
         n_missing=len(missing),

@@ -15,6 +15,7 @@ from aufhebung.bounds import (
     build_globular_counterexample,
     build_simplicial_counterexample,
     build_cyclic_counterexample,
+    certify,
     claimed_upper,
     random_skeletal_complex,
     underlying_simplicial,
@@ -187,6 +188,23 @@ def test_criterion_8_oracle_equivalence():
             f"constructive filler equals the unique oracle witness on"
             f" {compared} spheres ({oracle_only} oracle-only below the"
             f" preconditions); internal assertions never fired", t0)
+
+
+def test_criterion_10_certificates_at_the_next_n():
+    # one step past the bounds the other criteria certify; cubical n=3 scans
+    # 8-spheres, which the planned slot order keeps narrow
+    t0 = time.time()
+    ok = True
+    for shape, n in (("cubical", 3), ("simplicial", 4), ("cyclic", 2)):
+        cert = certify(shape, n, extra_complexes=[
+            random_skeletal_complex(shape, n, seed=0)])
+        ok = ok and cert.ok is True
+        ok = ok and all(lv.coverage == "exhaustive"
+                        for rep in cert.reports + cert.cyclic_cross_check
+                        for lv in rep.levels)
+    _report(10, ok, "certify holds, every level exhaustive, on cubical n=3,"
+                    " simplicial n=4 and cyclic n=2 with one random complex"
+                    " each", t0)
 
 
 # -- criterion 9: the normal-form suite --------------------------------------

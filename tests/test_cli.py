@@ -212,7 +212,7 @@ def test_coskeletal_inconclusive_exit_3(tmp_path, capsys):
     # a witness inside the truncated prefix still fails the window
     code, out, _ = run(capsys, "coskeletal", str(path), "--from", "1",
                        "--to", "2", "--budget-spheres", "5")
-    assert code == 1 and json.loads(out)["levels"][0]["unfilled"] == 3
+    assert code == 1 and json.loads(out)["levels"][0]["unfilled"] == 4
 
 
 @pytest.mark.parametrize("argv", [
@@ -253,3 +253,24 @@ def test_coskeletal_face_of_wrong_dimension_exit_2(tmp_path, capsys):
                          "--to", "3")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "has dimension 0, expected 1" in err
+
+
+# e joins two vertices and f is a loop, so (e, f, e) breaks two cycle
+# equations; (f, f, f) is still a sphere of the complex
+INVALID_SIMPLICIAL = ("shape simplicial\nskeletal 2\ngen a dim 0\ngen b dim 0\n"
+                      "gen e dim 1 faces a b\ngen f dim 1 faces a a\n"
+                      "gen x dim 2 faces e f e\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["coskeletal", "{path}", "--from", "2", "--to", "3"],
+    ["fill", "{path}", "f, f, f"],
+])
+def test_invalid_complex_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "invalid.complex"
+    path.write_text(INVALID_SIMPLICIAL)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1 and len(out.splitlines()) == 2
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err == "error: invalid complex [x] cycle: c_2 d_0 != c_0 d_1\n"

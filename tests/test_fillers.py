@@ -283,14 +283,14 @@ def test_face_tables_built_once(monkeypatch):
 
 def test_truncated_level_end_to_end():
     # a tiny sphere budget truncates each level to its first spheres in
-    # scan order; a witness found there is genuine, but a truncated level
-    # without one is inconclusive, never a pass
+    # the scan's planned slot order; a witness found there is genuine, but
+    # a truncated level without one is inconclusive, never a pass
     X, _ = build_cubical_counterexample(1)
     rep = coskeletal_up_to(X, 1, 2, budget_spheres=5)
     assert rep.partial
     (lv,) = rep.levels
     assert lv.coverage == "truncated"
-    assert lv.n_spheres == 5 and lv.n_unfilled == 3
+    assert lv.n_spheres == 5 and lv.n_unfilled == 4
     assert lv.ok is False and rep.coskeletal is False
     assert rep.to_json() == coskeletal_up_to(X, 1, 2, budget_spheres=5).to_json()
     # the window (2, 4] is coskeletal, but three spheres per level show

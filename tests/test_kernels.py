@@ -70,16 +70,23 @@ def test_blocks_split_inside_a_bucket():
         GeneratorDecl(f"e{i}", 1, (v, v)) for i in range(4)], truncation=2)
     tab = X.tabulate(2)
     F2 = tab.faces[1]
-    # the second case lists the first 300 of 600 counted spheres
+    # the second case lists the smallest 300 of 600 counted spheres, the
+    # third the smallest 5 of all 625, kept across blocks that come in
+    # planned, not lexicographic, order
+    wants = []
     for B, kw in ((tab.faces[2], dict(budget=10 ** 6, miss_cap=700)),
-                  (empty_table("cubical", 2), dict(budget=600, miss_cap=300))):
-        want = reference_scan(F2, B, "cubical", 2, **kw)
+                  (empty_table("cubical", 2), dict(budget=600, miss_cap=300)),
+                  (empty_table("cubical", 2), dict(budget=10 ** 6, miss_cap=5))):
+        wants.append(reference_scan(F2, B, "cubical", 2, **kw))
         for block in (1, 2, 7, 64):
             with mock.patch.object(_kernels, "BLOCK", block):
                 got = _kernels.scan_spheres(F2, B, "cubical", 2, **kw)
-            assert_same_scan(got, want)
-    assert want.overflow and want.n_spheres == want.n_missing == 600
-    assert len(want.missing) == 300
+            assert_same_scan(got, wants[-1])
+    _, prefix, smallest = wants
+    assert prefix.overflow and prefix.n_spheres == prefix.n_missing == 600
+    assert len(prefix.missing) == 300
+    assert smallest.n_spheres == smallest.n_missing == 625 and not smallest.overflow
+    assert smallest.missing.tolist() == [[0, 0, 0, i] for i in range(5)]
 
 
 def test_reports_identical_across_backends():
@@ -88,6 +95,44 @@ def test_reports_identical_across_backends():
     with mock.patch.object(_kernels, "scan_spheres", reference_scan):
         want = coskeletal_up_to(X, 3, 6).to_json()
     assert got == want
+
+
+def test_slot_plans_pinned():
+    # cubes fill (1,0), (2,0), ..., (k,0), then (1,1), ..., (k,1); every
+    # other shape keeps the given order
+    for k in range(1, 9):
+        order, _ = _kernels.plan_slots("cubical", k)
+        assert order == tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
+        for shape in ("simplicial", "cyclic", "globular"):
+            order, cons = _kernels.plan_slots(shape, k)
+            assert order == tuple(range(len(_kernels.build_constraints(shape, k))))
+            assert [list(row) for row in cons] == _kernels.build_constraints(shape, k)
+    # cached and immutable, like the shape tables
+    assert _kernels.plan_slots("cubical", 4) is _kernels.plan_slots("cubical", 4)
+    assert isinstance(_kernels.plan_slots("cubical", 4)[1][3], tuple)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("k", range(1, 7))
+def test_planned_equations_are_the_cycle_equations(shape, k):
+    # re-oriented toward the slot placed earlier, the plan's equations are
+    # build_constraints' equations, each exactly once
+    order, cons = _kernels.plan_slots(shape, k)
+    assert sorted(order) == list(range(len(cons)))
+    placed = {slot: p for p, slot in enumerate(order)}
+    want = []
+    for new, row in enumerate(_kernels.build_constraints(shape, k)):
+        for prev, c_new, c_prev in row:
+            if placed[prev] < placed[new]:
+                want.append((new, c_new, prev, c_prev))
+            else:
+                want.append((prev, c_prev, new, c_new))
+    got = []
+    for p, row in enumerate(cons):
+        for q, c_new, c_prev in row:
+            assert q < p
+            got.append((order[p], c_new, order[q], c_prev))
+    assert sorted(got) == sorted(want)
 
 
 @st.composite
