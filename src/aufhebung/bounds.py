@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .shapes import (
     CyclicMorphism,
     GlobeMorphism,
     SimplexMorphism,
+    identity,
 )
 
 
@@ -52,15 +54,47 @@ def claimed_upper(shape: str, n: int) -> int:
 # counterexample builders
 
 
+def _simplex_boundary(shape: str, n: int, truncation: int
+                      ) -> tuple[SkeletalComplex, Sphere]:
+    """The boundary of the (n + 1)-simplex, with the designated (n + 1)-sphere
+    made of the faces of the missing top simplex: n-skeletal and not
+    n-coskeletal.
+
+    Generator ``v<vertices>`` is the face spanned by those vertices; its
+    i-th face drops its i-th vertex.  For n = 0 it is two vertices, which
+    presents the same way in every shape.
+    """
+    def name(vs):
+        return "v" + "".join(map(str, vs))
+
+    def faces(vs):
+        return tuple(Cell(name(vs[:i] + vs[i + 1:]), identity(shape, len(vs) - 2))
+                     for i in range(len(vs)))
+
+    gens = [GeneratorDecl(name(vs), d, faces(vs) if d else ())
+            for d in range(n + 1) for vs in combinations(range(n + 2), d + 1)]
+    X = SkeletalComplex(shape, n, gens, truncation=truncation)
+    rep = X.validate()
+    if not rep.ok:
+        raise AssertionError(f"counterexample failed validation: {rep.violations}")
+    s = make_sphere(X, faces(tuple(range(n + 2))), n + 1)
+    ok, why = is_sphere(X, s)
+    if not ok:
+        raise AssertionError(f"designated sphere fails cycle equations: {why}")
+    return X, s
+
+
 def build_cubical_counterexample(n: int, truncation: int | None = None
                                  ) -> tuple[SkeletalComplex, Sphere]:
     """One vertex plus two n-cubes on a fully degenerate boundary, with the
     designated 2n-sphere whose lower faces come from one cube and upper
-    faces from the other."""
-    if n < 1:
-        raise ValueError("the cubical counterexample needs n >= 1")
+    faces from the other; for n = 0, two vertices and their 1-sphere."""
+    if n < 0:
+        raise ValueError("the cubical counterexample needs n >= 0")
     if truncation is None:
         truncation = 2 * n + 2
+    if n == 0:
+        return _simplex_boundary("cubical", 0, truncation)
     vface = Cell("v", CubeMorphism(n - 1, 0, (), tuple(range(1, n))))
     gens = [GeneratorDecl("v", 0, ()),
             GeneratorDecl("x", n, (vface,) * (2 * n)),
@@ -108,11 +142,14 @@ def build_simplicial_counterexample(n: int, truncation: int | None = None
                                     ) -> tuple[SkeletalComplex, Sphere]:
     """The n-skeletal complex (n >= 3) that is not (2n - 2)-coskeletal,
     with its designated (2n - 1)-sphere built from degeneracies of the two
-    top generators."""
-    if n < 3:
-        raise ValueError("the simplicial counterexample construction needs n >= 3")
+    top generators; for n <= 2 the boundary of the (n + 1)-simplex, which
+    is not n-coskeletal."""
+    if n < 0:
+        raise ValueError("the simplicial counterexample needs n >= 0")
     if truncation is None:
         truncation = 2 * n + 2
+    if n < 3:
+        return _simplex_boundary("simplicial", n, truncation)
     X = SkeletalComplex("simplicial", n, _pattern_generators(n),
                         truncation=truncation)
     rep = X.validate()
@@ -132,11 +169,14 @@ def build_simplicial_counterexample(n: int, truncation: int | None = None
 def build_globular_counterexample(n: int, truncation: int | None = None
                                   ) -> tuple[SkeletalComplex, Sphere]:
     """Two parallel n-globs over a degenerate tower on one vertex; the
-    designated (n + 1)-sphere is the unfillable pair (x, y)."""
-    if n < 1:
-        raise ValueError("the globular counterexample needs n >= 1")
+    designated (n + 1)-sphere is the unfillable pair (x, y).  For n = 0,
+    two vertices and their 1-sphere."""
+    if n < 0:
+        raise ValueError("the globular counterexample needs n >= 0")
     if truncation is None:
         truncation = n + 3
+    if n == 0:
+        return _simplex_boundary("globular", 0, truncation)
     bnd = Cell("v", GlobeMorphism(n - 1, 0, ("iot",) * (n - 1)))
     gens = [GeneratorDecl("v", 0, ()),
             GeneratorDecl("x", n, (bnd, bnd)),
@@ -213,13 +253,7 @@ def simplicial_core(X: SkeletalComplex, cell: Cell) -> tuple[Cell, SimplexMorphi
     if X.shape != "cyclic":
         raise ValueError("simplicial_core applies to cyclic complexes")
     n = cell.dim
-    lift = cell.epi.lift_window()
-
-    def lift_at(x: int) -> int:
-        q, rem = divmod(x, n + 1)
-        return lift[rem] + q * (cell.epi.cod + 1)
-
-    merges = tuple(j for j in range(n) if lift_at(j) == lift_at(j + 1))
+    merges = tuple(j for j in range(n) if cell.epi.lift(j) == cell.epi.lift(j + 1))
     epi = SimplexMorphism(n, n - len(merges), (), merges)
     section = SimplexMorphism(n - len(merges), n,
                               tuple(sorted((j + 1 for j in merges), reverse=True)),

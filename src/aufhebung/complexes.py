@@ -11,18 +11,21 @@ The only nontrivial operation is the contravariant action
 cell's epimorphism, splits off the mono part, and pushes the mono into
 the generator's attaching data recursively.
 
-:class:`TabulatedPresheaf` materialises all cells up to a dimension with
-integer ids and dense face tables, the input of the sphere scan.  The face
-tables are gathered from the shape's integer face-step and epi-composition
-tables, not computed through the action.  The complex builds each layer's
-id map and face table once and keeps them.
+:class:`CellLayer` numbers the k-cells without storing them: a cell's id
+is its generator's offset plus the rank of its epi, so the layer computes
+a cell from its id and an id from its cell.  :class:`TabulatedPresheaf`
+pairs the layers up to a dimension with dense face tables, the input of
+the sphere scan.  The face tables are gathered from the shape's integer
+face-step and epi-composition tables, not computed through the action;
+the complex builds each once and keeps it.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -36,8 +39,8 @@ from .shapes import (
     SimplexMorphism,
     compose,
     count_epis,
-    enumerate_epis,
     epi_mono_factor,
+    epi_of_rank,
     epi_rank,
     face_arity,
     identity,
@@ -117,10 +120,10 @@ class SkeletalComplex:
     """An n-skeletal presheaf presented by generators and attaching data.
 
     Immutable after construction; all queries are pure, so instances are
-    safe to share across worker threads.  Face actions, cell layers and,
-    per dimension, the id map and the read-only face table of the cells
-    are memoised; a memo entry is computed from immutable data, so two
-    threads that race on one entry store equal values.
+    safe to share across worker threads.  Face actions and, per dimension,
+    the read-only face table of the cells are memoised; a memo entry is
+    computed from immutable data, so two threads that race on one entry
+    store equal values.
     """
 
     def __init__(self, shape: str, skeletal_level: int, generators,
@@ -140,8 +143,6 @@ class SkeletalComplex:
             raise ComplexError("truncation below skeletal level")
         self.truncation = truncation
         self._act_memo: dict[tuple[Cell, ShapeMorphism], Cell] = {}
-        self._cells_memo: dict[int, list[Cell]] = {}
-        self._ids_memo: dict[int, Mapping[Cell, int]] = {}
         self._faces_memo: dict[int, np.ndarray] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -323,23 +324,14 @@ class SkeletalComplex:
 
     # -- cell enumeration ---------------------------------------------------------
 
-    def cells_of_dim(self, k: int) -> list[Cell]:
+    def cells_of_dim(self, k: int) -> "CellLayer":
         """All cells in dimension k: one per generator per canonical epi."""
-        if k < 0:
-            return []
         if k > self.truncation:
             raise TruncationError(f"dimension {k} exceeds truncation {self.truncation}")
-        memo = self._cells_memo.get(k)
-        if memo is None:
-            memo = [Cell(name, eps)
-                    for name, g in self.generators.items()
-                    for eps in enumerate_epis(k, g.dim, self.shape)]
-            self._cells_memo[k] = memo
-        return list(memo)
+        return CellLayer(self, k)
 
     def count_cells(self, k: int) -> int:
-        return sum(count_epis(k, g.dim, self.shape)
-                   for g in self.generators.values())
+        return len(self.cells_of_dim(k))
 
     def face_maps(self, k: int) -> list[ShapeMorphism]:
         """The elementary faces from dimension k, in sphere slot order."""
@@ -370,14 +362,6 @@ class SkeletalComplex:
     def tabulate(self, up_to: int, budget_cells: int = 10 ** 6) -> "TabulatedPresheaf":
         return TabulatedPresheaf.build(self, up_to, budget_cells)
 
-    def _layer_ids(self, k: int) -> Mapping[Cell, int]:
-        """The k-cells' positions in :meth:`cells_of_dim`, built once."""
-        ids = self._ids_memo.get(k)
-        if ids is None:
-            ids = MappingProxyType({c: j for j, c in enumerate(self.cells_of_dim(k))})
-            self._ids_memo[k] = ids
-        return ids
-
     def _face_table(self, k: int) -> np.ndarray:
         """The read-only int32 table of the k-cells' face ids, built once.
 
@@ -390,10 +374,7 @@ class SkeletalComplex:
         """
         table = self._faces_memo.get(k)
         if table is None:
-            offset, first = {}, 0
-            for name, g in self.generators.items():
-                offset[name] = first
-                first += count_epis(k - 1, g.dim, self.shape)
+            offset = self.cells_of_dim(k - 1).offset
             blocks = [np.zeros((0, face_arity(self.shape, k)), np.int32)]
             for name, g in self.generators.items():
                 if g.dim > k:
@@ -418,26 +399,75 @@ class SkeletalComplex:
 
 
 # ---------------------------------------------------------------------------
-# tabulation
+# cell layers and tabulation
+
+
+class CellLayer(Sequence):
+    """The k-cells of a complex in id order, computed from their ids.
+
+    The cells over each generator g, in declaration order, are g acted on
+    by the canonical epis [k] ->> [dim g] in rank order, the order of
+    :func:`shapes.enumerate_epis`.  So a cell's id is ``offset[g]`` plus
+    the rank of its epi; ``layer[i]`` builds the one cell with id i, and
+    nothing per cell is stored.  Read-only and built in O(generators).
+    """
+
+    def __init__(self, X: SkeletalComplex, k: int):
+        self.shape, self.dim = X.shape, k
+        self._generators = X.generators
+        self.offset: dict[str, int] = {}
+        n = 0
+        for name, g in X.generators.items():
+            self.offset[name] = n
+            n += count_epis(k, g.dim, X.shape)
+        self._len = n
+        self._names, self._starts = list(self.offset), list(self.offset.values())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i) -> Cell:
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"cell id {i} out of range for {self._len} cells")
+        # a generator without k-cells shares its start with the next one
+        j = bisect_right(self._starts, i) - 1
+        name = self._names[j]
+        return Cell(name, epi_of_rank(self.shape, self.dim, self._generators[name].dim,
+                                      i - self._starts[j]))
+
+    def __contains__(self, cell) -> bool:
+        if not isinstance(cell, Cell) or cell.generator not in self._generators:
+            return False
+        epi = cell.epi
+        return (epi.shape == self.shape and epi.is_epi and epi.dom == self.dim
+                and epi.cod == self._generators[cell.generator].dim)
+
+    def index(self, cell) -> int:
+        """The id of a k-cell of the complex; ValueError for any other value."""
+        if cell not in self:
+            raise ValueError(f"{cell!r} is not a {self.dim}-cell of this complex")
+        return self.offset[cell.generator] + epi_rank(cell.epi)
 
 
 @dataclass
 class TabulatedPresheaf:
     """Dense face tables for all cells of a complex up to a dimension.
 
-    ``cells[k]`` lists the k-cells, so a cell's id is its position there,
-    and ``ids[k]`` maps each k-cell to its id.  ``faces[k]`` is a
-    read-only int32 array of shape (N_k, slots) giving the id of each
-    elementary face of each k-cell, in the sphere slot order of
-    :meth:`SkeletalComplex.face_maps`.  The id maps and tables are the
+    ``cells[k]`` is the :class:`CellLayer` of the k-cells: a cell's id is
+    its position there, and ``cells[k].index(c)`` gives it back.
+    ``faces[k]`` is a read-only int32 array of shape (N_k, slots) giving
+    the id of each elementary face of each k-cell, in the sphere slot
+    order of :meth:`SkeletalComplex.face_maps`.  The tables are the
     complex's own memos, so tabulating one complex again, to any height,
-    builds only the layers it has not built before.
+    builds only the tables it has not built before.
     """
 
     complex: SkeletalComplex
     up_to: int
-    cells: list[list[Cell]]
-    ids: list[Mapping[Cell, int]]
+    cells: list[CellLayer]
     faces: list[np.ndarray]
 
     @classmethod
@@ -446,13 +476,10 @@ class TabulatedPresheaf:
         if up_to > X.truncation:
             raise TruncationError(
                 f"tabulation to {up_to} exceeds truncation {X.truncation}")
-        for k in range(up_to + 1):
-            n_cells = X.count_cells(k)
-            if n_cells > budget_cells:
+        cells = [X.cells_of_dim(k) for k in range(up_to + 1)]
+        for k, layer in enumerate(cells):
+            if len(layer) > budget_cells:
                 raise BudgetError(
-                    f"{n_cells} cells in dimension {k} exceed the budget"
+                    f"{len(layer)} cells in dimension {k} exceed the budget"
                     f" of {budget_cells}")
-        dims = range(up_to + 1)
-        return cls(X, up_to, [X.cells_of_dim(k) for k in dims],
-                   [X._layer_ids(k) for k in dims],
-                   [X._face_table(k) for k in dims])
+        return cls(X, up_to, cells, [X._face_table(k) for k in range(up_to + 1)])

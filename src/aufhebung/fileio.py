@@ -57,7 +57,8 @@ def parse_sphere(X: SkeletalComplex, text: str, k: int | None = None) -> Sphere:
 def parse_complex(text: str) -> SkeletalComplex:
     shape = None
     skeletal = None
-    truncate = None
+    truncate = truncate_line = None
+    names: set[str] = set()
     raw_gens: list[tuple[int, str, int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -72,17 +73,17 @@ def parse_complex(text: str) -> SkeletalComplex:
         elif head == "skeletal":
             skeletal = _int_arg(parts, lineno, "skeletal")
         elif head == "truncate":
-            truncate = _int_arg(parts, lineno, "truncate")
+            truncate, truncate_line = _int_arg(parts, lineno, "truncate"), lineno
         elif head == "gen":
             if len(parts) < 4 or parts[2] != "dim":
                 raise ParseError(lineno, f"bad generator directive {line!r}")
             name = parts[1]
             if not _NAME.match(name):
                 raise ParseError(lineno, f"bad generator name {name!r}")
-            try:
-                dim = int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, f"bad dimension {parts[3]!r}") from None
+            if name in names:
+                raise ParseError(lineno, f"duplicate generator {name!r}")
+            names.add(name)
+            dim = _natural(parts[3], lineno, "dimension")
             rest = parts[4:]
             if rest and rest[0] != "faces":
                 raise ParseError(lineno, f"expected 'faces', got {rest[0]!r}")
@@ -95,6 +96,9 @@ def parse_complex(text: str) -> SkeletalComplex:
         raise ParseError(0, "missing shape directive")
     if skeletal is None:
         raise ParseError(0, "missing skeletal directive")
+    if truncate is not None and truncate < skeletal:
+        raise ParseError(truncate_line, f"truncation {truncate} is below the"
+                                        f" skeletal level {skeletal}")
     gens: list[GeneratorDecl] = []
     partial = SkeletalComplex(shape, skeletal, [], truncation=truncate)
     for lineno, name, dim, face_literals in raw_gens:
@@ -137,10 +141,18 @@ def _split_cells(text: str, lineno: int) -> list[str]:
 def _int_arg(parts: list[str], lineno: int, what: str) -> int:
     if len(parts) != 2:
         raise ParseError(lineno, f"{what} takes one integer")
+    return _natural(parts[1], lineno, f"{what} value")
+
+
+def _natural(text: str, lineno: int, what: str) -> int:
+    """A non-negative integer argument."""
     try:
-        return int(parts[1])
+        value = int(text)
     except ValueError:
-        raise ParseError(lineno, f"bad {what} value {parts[1]!r}") from None
+        value = -1
+    if value < 0:
+        raise ParseError(lineno, f"bad {what} {text!r}")
+    return value
 
 
 def serialize_complex(X: SkeletalComplex) -> str:

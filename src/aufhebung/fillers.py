@@ -360,7 +360,7 @@ def brute_force_fill(X: SkeletalComplex, s: Sphere,
     if k > X.truncation:
         raise TruncationError(f"sphere dimension {k} exceeds truncation")
     tab = X.tabulate(k, budget_cells=budget_cells)
-    row = np.array([tab.ids[k - 1][c] for c in s.faces], dtype=np.int32)
+    row = np.array([tab.cells[k - 1].index(c) for c in s.faces], dtype=np.int32)
     ids = _kernels.find_fillers(tab.faces[k], row)
     witnesses = tuple(tab.cells[k][int(i)] for i in ids)
     if len(witnesses) == 1:

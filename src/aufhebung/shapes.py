@@ -681,7 +681,8 @@ def epi_mono_factor(f: ShapeMorphism) -> tuple[ShapeMorphism, ShapeMorphism]:
     raise ShapeError(f"unknown morphism type {type(f)!r}")
 
 
-def _epi_keys(shape: str, n: int, m: int) -> list:
+@lru_cache(maxsize=None)
+def _epi_keys(shape: str, n: int, m: int) -> tuple:
     """Integer data of the epis [n] ->> [m], in rank order.
 
     Ordinals: the degeneracy indices; cubes: the deleted coordinates,
@@ -690,14 +691,27 @@ def _epi_keys(shape: str, n: int, m: int) -> list:
     over a generator.
     """
     if m > n or m < 0:
-        return []
+        return ()
     if shape in ("simplicial", "cubical"):
-        return list(combinations(range(n), n - m))
+        return tuple(combinations(range(n), n - m))
     if shape == "globular":
-        return [()]
+        return ((),)
     if shape == "cyclic":
-        return [(r, js) for r in range(n + 1) for js in combinations(range(n), n - m)]
+        return tuple((r, js) for r in range(n + 1) for js in combinations(range(n), n - m))
     raise ShapeError(f"unknown shape {shape!r}")
+
+
+def epi_of_rank(shape: str, n: int, m: int, rank: int) -> ShapeMorphism:
+    """The canonical epi [n] ->> [m] at position ``rank`` of :func:`enumerate_epis`."""
+    key = _epi_keys(shape, n, m)[rank]
+    if shape == "simplicial":
+        return SimplexMorphism(n, m, (), key)
+    if shape == "cubical":
+        return CubeMorphism(n, m, (), tuple(d + 1 for d in key))
+    if shape == "globular":
+        return GlobeMorphism(n, m, ("iot",) * (n - m))
+    r, js = key
+    return CyclicMorphism(r, SimplexMorphism(n, m, (), js))
 
 
 def enumerate_epis(n: int, m: int, shape: str) -> list[ShapeMorphism]:
@@ -707,14 +721,8 @@ def enumerate_epis(n: int, m: int, shape: str) -> list[ShapeMorphism]:
     binomial(n, n - m); for the cyclic category each choice additionally
     carries one of n + 1 rotations.
     """
-    keys = _epi_keys(shape, n, m)
-    if shape == "simplicial":
-        return [SimplexMorphism(n, m, (), js) for js in keys]
-    if shape == "cubical":
-        return [CubeMorphism(n, m, (), tuple(d + 1 for d in ds)) for ds in keys]
-    if shape == "globular":
-        return [GlobeMorphism(n, m, ("iot",) * (n - m)) for _ in keys]
-    return [CyclicMorphism(r, SimplexMorphism(n, m, (), js)) for r, js in keys]
+    return [epi_of_rank(shape, n, m, rank)
+            for rank in range(len(_epi_keys(shape, n, m)))]
 
 
 def enumerate_monos(m: int, n: int, shape: str) -> list[ShapeMorphism]:

@@ -43,7 +43,7 @@ class ReferenceTables:
         self.rotations: list[np.ndarray] = []
 
         def table(layer, maps):
-            return np.array([[tab.ids[f.dom][X.act(c, f)] for f in maps] for c in layer],
+            return np.array([[tab.cells[f.dom].index(X.act(c, f)) for f in maps] for c in layer],
                             dtype=np.int32).reshape(len(layer), len(maps))
 
         for k, layer in enumerate(tab.cells):

@@ -108,6 +108,18 @@ def test_verify_certificate(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == cert
 
 
+@pytest.mark.parametrize("shape,n", [("simplicial", 0), ("simplicial", 1),
+                                     ("simplicial", 2), ("cubical", 0),
+                                     ("globular", 0)])
+def test_verify_low_dimensional_rows(capsys, shape, n):
+    # every row of the bound table has a certificate; these exited 2 before
+    code, out, err = run(capsys, "verify", "--shape", shape, "--n", str(n),
+                         "--seeds", "1")
+    cert = json.loads(out)
+    assert code == 0 and err == "" and cert["ok"] is True
+    assert cert["counterexample_fill"] == "no_filler"
+
+
 def test_outputs_deterministic(capsys):
     a = run(capsys, "verify", "--shape", "globular", "--n", "1",
             "--seeds", "2", "--seed", "5")

@@ -309,7 +309,7 @@ def test_single_vertex_cell_counts():
     X = single_vertex("simplicial")
     assert [X.count_cells(k) for k in range(4)] == [1, 1, 1, 1]
     c2 = X.cells_of_dim(2)
-    assert c2 == [Cell("v", SimplexMorphism(2, 0, (), (0, 1)))]
+    assert list(c2) == [Cell("v", SimplexMorphism(2, 0, (), (0, 1)))]
 
 
 def test_tabulation_relation_instances():
@@ -340,7 +340,7 @@ def test_empty_complex_is_valid_and_vacuously_coskeletal():
     from aufhebung.fillers import coskeletal_up_to
     X = SkeletalComplex("simplicial", 0, [], truncation=3)
     assert X.validate().ok
-    assert X.cells_of_dim(2) == []
+    assert list(X.cells_of_dim(2)) == []
     rep = coskeletal_up_to(X, 1, 3)
     assert rep.coskeletal
     assert all(lv.coverage == "vacuous" for lv in rep.levels)

@@ -24,13 +24,47 @@ from aufhebung.fillers import (
 
 def test_builder_argument_guards():
     with pytest.raises(ValueError):
-        build_cubical_counterexample(0)
+        build_cubical_counterexample(-1)
     with pytest.raises(ValueError):
-        build_simplicial_counterexample(2)
+        build_simplicial_counterexample(-1)
     with pytest.raises(ValueError):
-        build_globular_counterexample(0)
+        build_globular_counterexample(-1)
     with pytest.raises(ValueError):
         build_cyclic_counterexample(0)
+
+
+@pytest.mark.parametrize("shape,n,sphere", [
+    ("simplicial", 0, "v1, v0"),
+    ("simplicial", 1, "v12, v02, v01"),
+    ("simplicial", 2, "v123, v023, v013, v012"),
+    ("cubical", 0, "v1, v0"),
+    ("globular", 0, "v1, v0"),
+])
+def test_low_dimensional_witnesses(shape, n, sphere):
+    # the boundary of the (n + 1)-simplex (two vertices for n = 0) is
+    # n-skeletal and not n-coskeletal, which makes the bound table sharp
+    X, s = build_counterexample(shape, n)
+    assert X.skeletal_level == n and X.validate().ok
+    assert s.k == n + 1 and s.literal() == sphere
+    assert brute_force_fill(X, s).status == "no_filler"
+    assert coskeletal_up_to(X, n, n + 1).coskeletal is False
+    cert = certify(shape, n, extra_complexes=[
+        random_skeletal_complex(shape, n, seed=seed) for seed in range(3)])
+    assert cert.ok is True and cert.counterexample_fill == "no_filler"
+    upper = claimed_upper(shape, n)
+    assert (cert.claim.lower_fail, cert.claim.upper_hold) == (upper - 1, upper)
+    for report in cert.reports:
+        assert all(lv.coverage == "exhaustive" for lv in report.levels)
+
+
+def test_hollow_tetrahedron_levels():
+    X, _ = build_simplicial_counterexample(2)
+    assert [g.dim for g in X.generators.values()] == [0] * 4 + [1] * 6 + [2] * 4
+    rep = coskeletal_up_to(X, 3, 6)
+    assert [(lv.k, lv.n_spheres, lv.n_unfilled) for lv in rep.levels] == \
+        [(4, 52, 0), (5, 74, 0), (6, 100, 0)]
+    assert rep.coskeletal is True
+    assert coskeletal_up_to(X, 2, 3).coskeletal is False
 
 
 def test_cubical_designated_sphere_n1():
@@ -140,7 +174,7 @@ def test_underlying_simplicial_cell_isomorphism():
         assert len(tabX.cells[k]) == len(tabU.cells[k])
         for cell in tabX.cells[k]:
             img = translate(cell)
-            assert img in tabU.ids[k]
+            assert img in tabU.cells[k]
             if k >= 1:
                 for fm_cyc, fm_simp in zip(X.face_maps(k), U.face_maps(k)):
                     assert translate(X.act(cell, fm_cyc)) == U.act(img, fm_simp)

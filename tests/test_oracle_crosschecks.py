@@ -21,11 +21,15 @@ from aufhebung.bounds import (
 from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex, face_arity
 from aufhebung.fillers import is_sphere, make_sphere
 from aufhebung.shapes import (
+    SHAPES,
     CyclicMorphism,
     SimplexMorphism,
     compose,
+    enumerate_epis,
+    enumerate_monos,
     epi_composition,
     face_step,
+    identity,
 )
 
 
@@ -55,20 +59,73 @@ def test_cyclic_presentation_identities():
         assert compose(t, s(n, n + 1)) == compose(wrap, t_hi)
 
 
-TABLE_CASES = [("cubical", n) for n in (1, 2, 3)] + [("simplicial", 3), ("simplicial", 4)] \
-    + [("globular", n) for n in (1, 2, 3)] + [("cyclic", 1), ("cyclic", 2)]
+TABLE_CASES = [("cubical", n) for n in (0, 1, 2, 3)] \
+    + [("simplicial", n) for n in (0, 1, 2, 3, 4)] \
+    + [("globular", n) for n in (0, 1, 2, 3)] + [("cyclic", 1), ("cyclic", 2)]
+
+
+def table_complexes(shape, n):
+    """The counterexample and three random complexes, at default truncation."""
+    return [build_counterexample(shape, n)[0]] + [
+        random_skeletal_complex(shape, n, seed) for seed in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("shape,n", TABLE_CASES)
 def test_face_tables_match_act_oracle(shape, n):
-    # the counterexample and three random complexes, at default truncation
-    for X in [build_counterexample(shape, n)[0]] + [
-            random_skeletal_complex(shape, n, seed) for seed in (1, 2, 3)]:
+    for X in table_complexes(shape, n):
         faces = X.tabulate(X.truncation).faces
         for k, got in enumerate(faces):
             want = act_face_table(X, k)
             assert got.dtype == want.dtype == np.int32
             assert got.shape == want.shape and np.array_equal(got, want), (shape, n, k)
+
+
+@pytest.mark.parametrize("shape,n", TABLE_CASES)
+def test_cell_layers_computed_from_ids(shape, n, monkeypatch):
+    # a cell's id is arithmetic: generators in declaration order, each with
+    # its epis in rank order, and index inverts indexing
+    other = next(sh for sh in SHAPES if sh != shape)
+    complexes = table_complexes(shape, n)
+    for X in complexes:
+        tab = X.tabulate(X.truncation)
+        for k, layer in enumerate(tab.cells):
+            want = [Cell(name, e) for name, g in X.generators.items()
+                    for e in enumerate_epis(k, g.dim, shape)]
+            assert list(layer) == want and len(layer) == tab.faces[k].shape[0]
+            assert all(layer.index(layer[i]) == i for i in range(len(layer)))
+            if want:
+                assert layer[-1] == want[-1]
+            with pytest.raises(IndexError):
+                layer[len(layer)]
+            foreign = [None, 0, Cell("no_such_generator", identity(shape, k))]
+            if k >= 1:
+                foreign += list(tab.cells[k - 1])[:3]
+            if k < tab.up_to:
+                foreign += list(tab.cells[k + 1])[:3]
+            for name, g in X.generators.items():
+                foreign += [Cell(name, e) for e in enumerate_epis(k, g.dim, other)[:2]]
+                foreign += [Cell(name, f) for f in enumerate_monos(k, g.dim, shape)[:2]
+                            if not f.is_epi]
+            for c in foreign:
+                assert c not in layer, (k, c)
+                with pytest.raises(ValueError):
+                    layer.index(c)
+    # with the shape tables warm, tabulating a fresh copy builds no morphism
+    from aufhebung import shapes
+    built = []
+    for cls in (shapes.SimplexMorphism, shapes.CubeMorphism,
+                shapes.GlobeMorphism, shapes.CyclicMorphism):
+        def counted(obj, *args, _init=cls.__init__, **kwargs):
+            built.append(type(obj))
+            _init(obj, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    for X in complexes:
+        copy = SkeletalComplex(X.shape, X.skeletal_level, X.generators.values(),
+                               X.truncation)
+        tab = copy.tabulate(copy.truncation)
+        assert [len(layer) for layer in tab.cells] == [f.shape[0] for f in tab.faces]
+    assert built == []
+    assert tab.cells[0][0] and built  # the counter sees a cell built on demand
 
 
 def test_shape_tables_are_read_only():
