@@ -12,7 +12,7 @@ one level below.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -54,6 +54,19 @@ def claimed_upper(shape: str, n: int) -> int:
 # counterexample builders
 
 
+def _checked(X: SkeletalComplex, faces, k: int) -> tuple[SkeletalComplex, Sphere]:
+    """A built counterexample with its designated k-sphere, once the complex
+    validates and the faces satisfy the cycle equations."""
+    rep = X.validate()
+    if not rep.ok:
+        raise AssertionError(f"counterexample failed validation: {rep.violations}")
+    s = make_sphere(X, faces, k)
+    ok, why = is_sphere(X, s)
+    if not ok:
+        raise AssertionError(f"designated sphere fails cycle equations: {why}")
+    return X, s
+
+
 def _simplex_boundary(shape: str, n: int, truncation: int
                       ) -> tuple[SkeletalComplex, Sphere]:
     """The boundary of the (n + 1)-simplex, with the designated (n + 1)-sphere
@@ -74,14 +87,7 @@ def _simplex_boundary(shape: str, n: int, truncation: int
     gens = [GeneratorDecl(name(vs), d, faces(vs) if d else ())
             for d in range(n + 1) for vs in combinations(range(n + 2), d + 1)]
     X = SkeletalComplex(shape, n, gens, truncation=truncation)
-    rep = X.validate()
-    if not rep.ok:
-        raise AssertionError(f"counterexample failed validation: {rep.violations}")
-    s = make_sphere(X, faces(tuple(range(n + 2))), n + 1)
-    ok, why = is_sphere(X, s)
-    if not ok:
-        raise AssertionError(f"designated sphere fails cycle equations: {why}")
-    return X, s
+    return _checked(X, faces(tuple(range(n + 2))), n + 1)
 
 
 def build_cubical_counterexample(n: int, truncation: int | None = None
@@ -100,9 +106,6 @@ def build_cubical_counterexample(n: int, truncation: int | None = None
             GeneratorDecl("x", n, (vface,) * (2 * n)),
             GeneratorDecl("y", n, (vface,) * (2 * n))]
     X = SkeletalComplex("cubical", n, gens, truncation=truncation)
-    rep = X.validate()
-    if not rep.ok:
-        raise AssertionError(f"counterexample failed validation: {rep.violations}")
     k = 2 * n
     low = Cell("x", CubeMorphism(k - 1, n, (), tuple(range(1, n))))
     high = Cell("y", CubeMorphism(k - 1, n, (), tuple(range(n + 1, 2 * n))))
@@ -110,11 +113,7 @@ def build_cubical_counterexample(n: int, truncation: int | None = None
     for i in range(1, k + 1):
         c = low if i <= n else high
         faces.extend([c, c])
-    s = make_sphere(X, faces, k)
-    ok, why = is_sphere(X, s)
-    if not ok:
-        raise AssertionError(f"designated sphere fails cycle equations: {why}")
-    return X, s
+    return _checked(X, faces, k)
 
 
 def _pattern_generators(n: int) -> list[GeneratorDecl]:
@@ -152,18 +151,10 @@ def build_simplicial_counterexample(n: int, truncation: int | None = None
         return _simplex_boundary("simplicial", n, truncation)
     X = SkeletalComplex("simplicial", n, _pattern_generators(n),
                         truncation=truncation)
-    rep = X.validate()
-    if not rep.ok:
-        raise AssertionError(f"counterexample failed validation: {rep.violations}")
     k = 2 * n - 1
     low = Cell("x", SimplexMorphism(k - 1, n, (), tuple(range(n - 2))))
     high = Cell("y", SimplexMorphism(k - 1, n, (), tuple(range(n, 2 * n - 2))))
-    faces = tuple([low] * n + [high] * n)
-    s = make_sphere(X, faces, k)
-    ok, why = is_sphere(X, s)
-    if not ok:
-        raise AssertionError(f"designated sphere fails cycle equations: {why}")
-    return X, s
+    return _checked(X, [low] * n + [high] * n, k)
 
 
 def build_globular_counterexample(n: int, truncation: int | None = None
@@ -182,11 +173,7 @@ def build_globular_counterexample(n: int, truncation: int | None = None
             GeneratorDecl("x", n, (bnd, bnd)),
             GeneratorDecl("y", n, (bnd, bnd))]
     X = SkeletalComplex("globular", n, gens, truncation=truncation)
-    rep = X.validate()
-    if not rep.ok:
-        raise AssertionError(f"counterexample failed validation: {rep.violations}")
-    s = make_sphere(X, (X.generator_cell("x"), X.generator_cell("y")), n + 1)
-    return X, s
+    return _checked(X, (X.generator_cell("x"), X.generator_cell("y")), n + 1)
 
 
 def build_cyclic_counterexample(n: int, truncation: int | None = None
@@ -200,24 +187,14 @@ def build_cyclic_counterexample(n: int, truncation: int | None = None
         truncation = 2 * n + 2
     X = SkeletalComplex("cyclic", n, _cyclic_pattern_generators(n),
                         truncation=truncation)
-    rep = X.validate()
-    if not rep.ok:
-        raise AssertionError(f"counterexample failed validation: {rep.violations}")
     if n == 1:
-        xp = X.generator_cell("xp")
-        yp = X.generator_cell("yp")
-        s = make_sphere(X, (xp, yp), 1)
-    else:
-        k = 2 * n - 1
-        low = Cell("x", CyclicMorphism(
-            0, SimplexMorphism(k - 1, n, (), tuple(range(n - 2)))))
-        high = Cell("y", CyclicMorphism(
-            0, SimplexMorphism(k - 1, n, (), tuple(range(n, 2 * n - 2)))))
-        s = make_sphere(X, tuple([low] * n + [high] * n), k)
-        ok, why = is_sphere(X, s)
-        if not ok:
-            raise AssertionError(f"designated sphere fails cycle equations: {why}")
-    return X, s
+        return _checked(X, (X.generator_cell("xp"), X.generator_cell("yp")), 1)
+    k = 2 * n - 1
+    low = Cell("x", CyclicMorphism(
+        0, SimplexMorphism(k - 1, n, (), tuple(range(n - 2)))))
+    high = Cell("y", CyclicMorphism(
+        0, SimplexMorphism(k - 1, n, (), tuple(range(n, 2 * n - 2)))))
+    return _checked(X, [low] * n + [high] * n, k)
 
 
 def _cyclic_pattern_generators(n: int) -> list[GeneratorDecl]:
@@ -290,17 +267,14 @@ def underlying_simplicial(X: SkeletalComplex) -> tuple[SkeletalComplex, dict]:
     for name, g in X.generators.items():
         for r in range(g.dim + 1):
             cell = Cell(name, CyclicMorphism.rotation_map(g.dim, r))
-            faces = tuple(translate(f) for f in
-                          (X.act(cell, fm) for fm in X.face_maps(g.dim))) \
-                if g.dim >= 1 else ()
+            faces = tuple(map(translate, X.faces(cell))) if g.dim >= 1 else ()
             gens.append(GeneratorDecl(_core_name(cell), g.dim, faces))
     for name, g in X.generators.items():
         for r in range(1, g.dim + 2):
             epi = CyclicMorphism(r, SimplexMorphism(
                 g.dim + 1, g.dim, (), (r - 1,)))
             cell = Cell(name, epi)
-            faces = tuple(translate(f) for f in
-                          (X.act(cell, fm) for fm in X.face_maps(g.dim + 1)))
+            faces = tuple(map(translate, X.faces(cell)))
             gens.append(GeneratorDecl(_core_name(cell), g.dim + 1, faces))
     gens.sort(key=lambda g: g.dim)
     U = SkeletalComplex("simplicial", X.skeletal_level + 1, gens,
@@ -397,6 +371,12 @@ class Certificate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _per_level(report: VerificationReport) -> list[VerificationReport]:
+    """A report split into one report per level, each on its own window."""
+    return [replace(report, k_min=level.k - 1, upper=level.k, levels=(level,))
+            for level in report.levels]
+
+
 def certify(shape: str, n: int, extra_complexes=(), seed: int = 0,
             truncation: int | None = None,
             budget_spheres: int = 10 ** 6,
@@ -438,12 +418,12 @@ def certify(shape: str, n: int, extra_complexes=(), seed: int = 0,
     verdicts = [fill.status == "no_filler"] + [r.coskeletal for r in reports]
     cross = []
     if shape == "cyclic":
+        # U has X's truncation, so reports[0] already holds X's levels
         U, mapping = underlying_simplicial(X)
-        for k in range(upper + 1, min(truncation, U.truncation) + 1):
-            cyc = coskeletal_up_to(X, k - 1, k, budget_spheres=budget_spheres,
-                                   budget_cells=budget_cells)
-            simp = coskeletal_up_to(U, k - 1, k, budget_spheres=budget_spheres,
-                                    budget_cells=budget_cells)
+        under = coskeletal_up_to(U, upper, reports[0].upper,
+                                 budget_spheres=budget_spheres,
+                                 budget_cells=budget_cells)
+        for cyc, simp in zip(_per_level(reports[0]), _per_level(under)):
             cross.extend([cyc, simp])
             verdicts.append(None if None in (cyc.coskeletal, simp.coskeletal)
                             else cyc.coskeletal == simp.coskeletal)

@@ -6,18 +6,19 @@ degeneracy.  Cells are stored in decomposed form as a generator paired
 with the canonical epimorphism acting on it, so the degenerate-cell
 normal form is structural rather than computed.
 
-The only nontrivial operation is the contravariant action
-:meth:`SkeletalComplex.act`: acting by a morphism composes it into the
-cell's epimorphism, splits off the mono part, and pushes the mono into
-the generator's attaching data recursively.
-
 :class:`CellLayer` numbers the k-cells without storing them: a cell's id
 is its generator's offset plus the rank of its epi, so the layer computes
-a cell from its id and an id from its cell.  :class:`TabulatedPresheaf`
-pairs the layers up to a dimension with dense face tables, the input of
-the sphere scan.  The face tables are gathered from the shape's integer
-face-step and epi-composition tables, not computed through the action;
-the complex builds each once and keeps it.
+a cell from its id and an id from its cell.  The faces of every cell are
+read from the complex's face tables, gathered from the shape's integer
+face-step and epi-composition tables and built once per dimension:
+:meth:`SkeletalComplex.faces`, the cycle equations of validation and
+``is_sphere``, and :class:`TabulatedPresheaf`, the input of the sphere
+scan, all read them.
+
+The contravariant action :meth:`SkeletalComplex.act` serves what the face
+tables do not hold: degeneracies and sections.  It composes the morphism
+into the cell's epimorphism, splits off the mono part, and pushes the mono
+into the generator's attaching data recursively.
 """
 
 from __future__ import annotations
@@ -100,6 +101,28 @@ class GeneratorDecl:
     faces: tuple[Cell, ...]
 
 
+def make_cell(shape: str, decl: GeneratorDecl, epi_word="",
+              dim: int | None = None) -> Cell:
+    """The cell of a generator of the given shape under an epi, given as a
+    word or as a morphism."""
+    if isinstance(epi_word, str):
+        toks = epi_word.split()
+        if dim is None:
+            drop = sum(1 for t in toks if t.startswith("s") or t == "iot"
+                       or t.startswith("b"))
+            dim = decl.dim + drop
+        epi = shapes.normalize(shape, toks, dom=dim)
+    else:
+        epi = epi_word
+    if epi.cod != decl.dim:
+        raise ComplexError(
+            f"epi lands in dimension {epi.cod}, generator {decl.name!r} has"
+            f" dimension {decl.dim}")
+    if not epi.is_epi:
+        raise ComplexError("cell word must be an epimorphism")
+    return Cell(decl.name, epi)
+
+
 @dataclass(frozen=True)
 class Violation:
     generator: str
@@ -120,10 +143,10 @@ class SkeletalComplex:
     """An n-skeletal presheaf presented by generators and attaching data.
 
     Immutable after construction; all queries are pure, so instances are
-    safe to share across worker threads.  Face actions and, per dimension,
-    the read-only face table of the cells are memoised; a memo entry is
-    computed from immutable data, so two threads that race on one entry
-    store equal values.
+    safe to share across worker threads.  Actions and, per dimension, the
+    cell layer and the read-only face table of the cells are memoised; a
+    memo entry is computed from immutable data, so two threads that race
+    on one entry store equal values.
     """
 
     def __init__(self, shape: str, skeletal_level: int, generators,
@@ -143,6 +166,7 @@ class SkeletalComplex:
             raise ComplexError("truncation below skeletal level")
         self.truncation = truncation
         self._act_memo: dict[tuple[Cell, ShapeMorphism], Cell] = {}
+        self._layers: dict[int, CellLayer] = {}
         self._faces_memo: dict[int, np.ndarray] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -153,67 +177,88 @@ class SkeletalComplex:
 
     def cell(self, name: str, epi_word="", dim: int | None = None) -> Cell:
         """Build a cell from a generator name and an epi word."""
-        decl = self.generators[name]
-        if isinstance(epi_word, str):
-            toks = epi_word.split()
-            if dim is None:
-                drop = sum(1 for t in toks if t.startswith("s") or t == "iot"
-                           or t.startswith("b"))
-                dim = decl.dim + drop
-            epi = shapes.normalize(self.shape, toks, dom=dim)
-        else:
-            epi = epi_word
-        if epi.cod != decl.dim:
-            raise ComplexError(
-                f"epi lands in dimension {epi.cod}, generator {name!r} has"
-                f" dimension {decl.dim}")
-        if not epi.is_epi:
-            raise ComplexError("cell word must be an epimorphism")
-        return Cell(name, epi)
+        return make_cell(self.shape, self.generators[name], epi_word, dim)
 
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check arity, dimensions and the cycle equations of every generator."""
-        problems: list[Violation] = []
-        seen: set[str] = set()
+        """Check arity, dimensions and references of every generator, and
+        the cycle equations of every sound one, reported generator by
+        generator.
+
+        A generator is sound when it breaks no structural check and every
+        generator its faces name is sound.  Only sound generators can be
+        gathered into face tables, so the cycle equations are read off this
+        complex's tables when every generator is sound, and off those of
+        the sub-complex of the sound generators otherwise.
+        """
+        structural: dict[str, list[Violation]] = {}
+        sound: set[str] = set()
         for name, g in self.generators.items():
+            found: list[Violation] = []
             if g.dim > self.skeletal_level:
-                problems.append(Violation(name, "dimension",
-                                          f"dim {g.dim} exceeds skeletal level"
-                                          f" {self.skeletal_level}"))
+                found.append(Violation(name, "dimension",
+                                       f"dim {g.dim} exceeds skeletal level"
+                                       f" {self.skeletal_level}"))
             arity = face_arity(self.shape, g.dim)
             if len(g.faces) != arity:
-                problems.append(Violation(name, "arity",
-                                          f"expected {arity} faces, got {len(g.faces)}"))
-                seen.add(name)
-                continue
-            for c in g.faces:
-                if c.generator not in seen:
-                    problems.append(Violation(name, "reference",
-                                              f"face uses undeclared generator"
-                                              f" {c.generator!r}"))
-                elif c.dim != g.dim - 1:
-                    problems.append(Violation(name, "dimension",
-                                              f"face {c!r} has dimension {c.dim},"
-                                              f" expected {g.dim - 1}"))
-            if any(v.generator == name for v in problems):
-                seen.add(name)
-                continue
-            problems.extend(Violation(name, "cycle", why)
-                            for why in self.cycle_violations(g.faces, g.dim))
-            seen.add(name)
+                found.append(Violation(name, "arity",
+                                       f"expected {arity} faces, got {len(g.faces)}"))
+            else:
+                for c in g.faces:
+                    if c.generator not in structural:
+                        found.append(Violation(name, "reference",
+                                               f"face uses undeclared generator"
+                                               f" {c.generator!r}"))
+                    elif c.dim != g.dim - 1:
+                        found.append(Violation(name, "dimension",
+                                               f"face {c!r} has dimension {c.dim},"
+                                               f" expected {g.dim - 1}"))
+                    elif (not c.epi.is_epi
+                          or c.generator_dim != self.generators[c.generator].dim):
+                        found.append(Violation(name, "reference",
+                                               f"face {c!r} is not a cell of"
+                                               f" generator {c.generator!r}"))
+                if not found and all(c.generator in sound for c in g.faces):
+                    sound.add(name)
+            structural[name] = found
+        Y = self
+        if len(sound) < len(self.generators):
+            Y = SkeletalComplex(self.shape, self.skeletal_level,
+                                [g for name, g in self.generators.items()
+                                 if name in sound], self.truncation)
+        problems: list[Violation] = []
+        for name, g in self.generators.items():
+            problems.extend(structural[name])
+            if name in sound:
+                problems.extend(Violation(name, "cycle", why)
+                                for why in Y.cycle_violations(g.faces, g.dim))
         return ValidationReport(not problems, tuple(problems))
 
     def cycle_violations(self, faces: tuple[Cell, ...], k: int):
-        """Yield, in order, each cycle equation of a k-sphere that ``faces``
-        break, as ``c_<slot> d_<column> != c_<slot> d_<column>`` with the
-        columns indexing :meth:`face_maps` of dimension k - 1."""
-        fmaps = self.face_maps(k - 1) if k >= 2 else []
-        for new, row in enumerate(build_constraints(self.shape, k)):
+        """Yield, in order, each cycle equation of a k-sphere that the
+        (k-1)-cells ``faces`` break, as ``c_<slot> d_<column> != c_<slot>
+        d_<column>``.  The equations compare ids in the face table of
+        dimension k - 1, whose columns are the face slots."""
+        cons = build_constraints(self.shape, k)
+        if not any(cons):
+            return
+        layer = self.cells_of_dim(k - 1)
+        rows = self._face_table(k - 1)[[layer.index(c) for c in faces]].tolist()
+        for new, row in enumerate(cons):
             for prev, a, b in row:
-                if self.act(faces[new], fmaps[a]) != self.act(faces[prev], fmaps[b]):
+                if rows[new][a] != rows[prev][b]:
                     yield f"c_{new} d_{a} != c_{prev} d_{b}"
+
+    def faces(self, cell: Cell) -> tuple[Cell, ...]:
+        """The elementary faces of a cell of dimension >= 1, in sphere slot
+        order: its row of the face table of its dimension."""
+        k = cell.dim
+        if k < 1:
+            raise ComplexError("a 0-cell has no faces")
+        row = self._face_table(k)[self.cells_of_dim(k).index(cell)]
+        below = self.cells_of_dim(k - 1)
+        return tuple(below[i] for i in row.tolist())
 
     # -- the contravariant action ----------------------------------------------
 
@@ -283,16 +328,13 @@ class SkeletalComplex:
         if self.shape in ("simplicial", "cyclic"):
             if not (0 <= i <= n):
                 raise ComplexError(f"face index {i} out of range")
-            f = self.act(cell, self.face_maps(n)[i])
-            return self.dgn(f) == self.dgn(cell) - 1
+            return self.dgn(self.faces(cell)[i]) == self.dgn(cell) - 1
         if self.shape == "cubical":
             if not (1 <= i <= n):
                 raise ComplexError(f"face position {i} out of range")
-            for sign in (0, 1):
-                f = self.act(cell, CubeMorphism.face(i, sign, n))
-                if self.dgn(f) == self.dgn(cell) - 1:
-                    return True
-            return False
+            faces = self.faces(cell)
+            return any(self.dgn(faces[2 * (i - 1) + sign]) == self.dgn(cell) - 1
+                       for sign in (0, 1))
         raise ComplexError(f"reduces is not defined for shape {self.shape!r}")
 
     def properly_reduces(self, cell: Cell, i: int) -> bool:
@@ -304,7 +346,7 @@ class SkeletalComplex:
             raise ComplexError(f"face index {i} out of range")
         if i > n - 1:
             return False
-        face = self.act(cell, self.face_maps(n)[i])
+        face = self.faces(cell)[i]
         back = self.act(face, self.degeneracy_maps(n - 1)[i])
         return back == cell
 
@@ -328,7 +370,10 @@ class SkeletalComplex:
         """All cells in dimension k: one per generator per canonical epi."""
         if k > self.truncation:
             raise TruncationError(f"dimension {k} exceeds truncation {self.truncation}")
-        return CellLayer(self, k)
+        layer = self._layers.get(k)
+        if layer is None:
+            layer = self._layers[k] = CellLayer(self, k)
+        return layer
 
     def count_cells(self, k: int) -> int:
         return len(self.cells_of_dim(k))

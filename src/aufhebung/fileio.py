@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from . import shapes
-from .complexes import Cell, GeneratorDecl, SkeletalComplex, face_arity
+from .complexes import Cell, GeneratorDecl, SkeletalComplex, face_arity, make_cell
 from .fillers import Sphere, cell_literal, make_sphere
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -35,15 +35,20 @@ class ParseError(ValueError):
 
 
 def parse_cell(X: SkeletalComplex, text: str, line: int = 0) -> Cell:
+    return _parse_cell(X.shape, X.generators, text, line)
+
+
+def _parse_cell(shape: str, generators: dict[str, GeneratorDecl], text: str,
+                line: int) -> Cell:
     text = text.strip()
     m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[([^\]]*)\])?", text)
     if not m:
         raise ParseError(line, f"malformed cell literal {text!r}")
     name, word = m.group(1), m.group(2) or ""
-    if name not in X.generators:
+    if name not in generators:
         raise ParseError(line, f"unknown generator {name!r}")
     try:
-        return X.cell(name, word)
+        return make_cell(shape, generators[name], word)
     except (shapes.ShapeError, ValueError) as exc:
         raise ParseError(line, f"bad cell literal {text!r}: {exc}") from exc
 
@@ -99,18 +104,17 @@ def parse_complex(text: str) -> SkeletalComplex:
     if truncate is not None and truncate < skeletal:
         raise ParseError(truncate_line, f"truncation {truncate} is below the"
                                         f" skeletal level {skeletal}")
-    gens: list[GeneratorDecl] = []
-    partial = SkeletalComplex(shape, skeletal, [], truncation=truncate)
+    # a face may name only the generators declared above it
+    gens: dict[str, GeneratorDecl] = {}
     for lineno, name, dim, face_literals in raw_gens:
         arity = face_arity(shape, dim)
         if len(face_literals) != arity:
             raise ParseError(lineno,
                              f"generator {name!r} of dimension {dim} needs"
                              f" {arity} faces, got {len(face_literals)}")
-        faces = tuple(parse_cell(partial, lit, lineno) for lit in face_literals)
-        gens.append(GeneratorDecl(name, dim, faces))
-        partial = SkeletalComplex(shape, skeletal, gens, truncation=truncate)
-    return SkeletalComplex(shape, skeletal, gens, truncation=truncate)
+        faces = tuple(_parse_cell(shape, gens, lit, lineno) for lit in face_literals)
+        gens[name] = GeneratorDecl(name, dim, faces)
+    return SkeletalComplex(shape, skeletal, gens.values(), truncation=truncate)
 
 
 def _split_cells(text: str, lineno: int) -> list[str]:

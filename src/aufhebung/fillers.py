@@ -98,8 +98,7 @@ def boundary(X: SkeletalComplex, cell: Cell) -> Sphere:
     """The boundary sphere of a cell (dimension >= 1)."""
     if cell.dim < 1:
         raise SphereError("boundary needs dimension >= 1")
-    faces = tuple(X.act(cell, fm) for fm in X.face_maps(cell.dim))
-    return Sphere(X.shape, cell.dim, faces)
+    return Sphere(X.shape, cell.dim, X.faces(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +249,13 @@ def constructive_filler_simplicial(X: SkeletalComplex, s: Sphere,
     filler = X.act(cm, SimplexMorphism.degeneracy(m, k))
     # the r + 2 faces forced to be degenerate copies of c_m
     forced = {m} | {j + 1 for j in M} | {l + 1}
-    fmaps = X.face_maps(k)
+    got = X.faces(filler)
     for u in sorted(forced):
         cu = s.faces[u]
         if X.dgn(cu) != r:
             raise AlgorithmViolation(f"face {u} should attain the minimal"
                                      f" degeneracy {r}, has {X.dgn(cu)}")
-        if cu != X.act(filler, fmaps[u]):
+        if cu != got[u]:
             raise AlgorithmViolation(f"face {u} is not the forced degenerate"
                                      f" copy of the minimal face")
     lines: list[str] = []

@@ -3,7 +3,8 @@
 The package tabulates face tables only, the input of the sphere scan, and
 gathers them from the shape's integer face-step and epi-composition
 tables.  :func:`act_face_table` builds the same table the direct way, by
-acting on every cell with every elementary face map.
+acting on every cell with every elementary face map, and
+:func:`act_cycle_violations` evaluates the cycle equations the same way.
 :class:`ReferenceTables` adds, from ``X.act`` and ``X.degeneracy_maps``,
 the elementary degeneracy tables and, for cyclic complexes, the basic
 rotation of each layer.  On those tables it checks every defining relation
@@ -14,6 +15,7 @@ package uses.  It is not used by the package.
 
 import numpy as np
 
+from aufhebung._kernels import build_constraints
 from aufhebung.complexes import ComplexError
 from aufhebung.shapes import CyclicMorphism, ShapeMorphism, enumerate_epis
 
@@ -25,6 +27,17 @@ def act_face_table(X, k):
     below = {c: j for j, c in enumerate(X.cells_of_dim(k - 1))}
     return np.array([[below[X.act(c, fm)] for fm in fmaps] for c in layer],
                     dtype=np.int32).reshape(len(layer), len(fmaps))
+
+
+def act_cycle_violations(X, faces, k):
+    """``X.cycle_violations(faces, k)`` through ``X.act``: each broken
+    equation of ``build_constraints`` found by acting on the faces with the
+    elementary face maps of dimension k - 1."""
+    fmaps = X.face_maps(k - 1) if k >= 2 else []
+    for new, row in enumerate(build_constraints(X.shape, k)):
+        for prev, a, b in row:
+            if X.act(faces[new], fmaps[a]) != X.act(faces[prev], fmaps[b]):
+                yield f"c_{new} d_{a} != c_{prev} d_{b}"
 
 
 class ReferenceTables:

@@ -267,6 +267,27 @@ def test_coskeletal_face_of_wrong_dimension_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "has dimension 0, expected 1" in err
 
 
+BAD_FACE_DIMENSION = ("shape simplicial\nskeletal 2\ngen v dim 0\n"
+                      "gen e dim 1 faces v v\ngen f dim 1 faces e v\n"
+                      "gen t dim 2 faces f f f\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["coskeletal", "{path}", "--from", "1", "--to", "3"],
+    ["fill", "{path}", "e, e, e"],
+])
+def test_face_of_wrong_dimension_below_a_generator_exit_codes(tmp_path, capsys, argv):
+    # t is built on the ill-formed f; validation reports f alone instead of
+    # failing on t's cycle equations
+    path = tmp_path / "bad.complex"
+    path.write_text(BAD_FACE_DIMENSION)
+    detail = "[f] dimension: face Cell(e, id) has dimension 1, expected 0"
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (1, f"invalid {detail}\n", "")
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert (code, out, err) == (2, "", f"error: invalid complex {detail}\n")
+
+
 # e joins two vertices and f is a loop, so (e, f, e) breaks two cycle
 # equations; (f, f, f) is still a sphere of the complex
 INVALID_SIMPLICIAL = ("shape simplicial\nskeletal 2\ngen a dim 0\ngen b dim 0\n"

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from reference_tables import ReferenceTables
+from reference_tables import ReferenceTables, act_cycle_violations
 
 from aufhebung.bounds import (
     build_cubical_counterexample,
@@ -103,6 +103,46 @@ def test_validate_catches_arity_and_dimension():
                          GeneratorDecl("w", 1, (v, v))], truncation=3)
     rep = Z.validate()
     assert not rep.ok and any(v_.kind == "dimension" for v_ in rep.violations)
+
+
+# f names e, a 1-cell, as a vertex; t is built on f and so is not sound
+BAD_FACE_DIMENSION = ("shape simplicial\nskeletal 2\ngen v dim 0\n"
+                      "gen e dim 1 faces v v\ngen f dim 1 faces e v\n"
+                      "gen t dim 2 faces f f f\n")
+
+
+def test_validate_skips_cycle_equations_above_an_unsound_generator():
+    from aufhebung.complexes import Violation
+    from aufhebung.fileio import parse_complex
+    rep = parse_complex(BAD_FACE_DIMENSION).validate()
+    assert rep.violations == (Violation(
+        "f", "dimension", "face Cell(e, id) has dimension 1, expected 0"),)
+    # the cycle equations of the sound generators are still checked, on the
+    # sub-complex of the sound ones: s breaks three, u (on the unsound f)
+    # is not checked
+    X = parse_complex(BAD_FACE_DIMENSION.replace("gen t", "gen u") + (
+        "gen a dim 0\ngen b dim 0\ngen ab dim 1 faces b a\n"
+        "gen s dim 2 faces ab e ab\n"))
+    broken = ["c_1 d_0 != c_0 d_0", "c_2 d_0 != c_0 d_1", "c_2 d_1 != c_1 d_1"]
+    assert list(act_cycle_violations(X, X.generators["s"].faces, 2)) == broken
+    assert [(v_.generator, v_.kind, v_.detail) for v_ in X.validate().violations] == [
+        ("f", "dimension", "face Cell(e, id) has dimension 1, expected 0")] + [
+        ("s", "cycle", why) for why in broken]
+
+
+def test_validate_rejects_a_face_that_is_not_a_cell():
+    # f's first face names the 1-cell e by a 0-dimensional epi; the face
+    # table could not gather it
+    v = Cell("v", SimplexMorphism.identity(0))
+    w = Cell("w", SimplexMorphism.identity(0))
+    X = SkeletalComplex("simplicial", 2, [
+        GeneratorDecl("v", 0, ()), GeneratorDecl("w", 0, ()),
+        GeneratorDecl("e", 1, (v, w)),
+        GeneratorDecl("f", 1, (Cell("e", SimplexMorphism.identity(0)), v)),
+        GeneratorDecl("t", 2, (Cell("f", SimplexMorphism.identity(1)),) * 3)],
+        truncation=3)
+    assert [(v_.generator, v_.kind, v_.detail) for v_ in X.validate().violations] == [
+        ("f", "reference", "face Cell(e, id) is not a cell of generator 'e'")]
 
 
 def test_act_identity_and_functoriality_fuzz():

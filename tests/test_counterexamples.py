@@ -129,6 +129,23 @@ def test_certificate_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("shape,n", [
+    ("cubical", 0), ("cubical", 2), ("simplicial", 1), ("simplicial", 3),
+    ("globular", 0), ("globular", 2), ("cyclic", 1), ("cyclic", 2)])
+def test_every_designated_sphere_is_checked(monkeypatch, shape, n):
+    from aufhebung import bounds
+    seen = []
+
+    def refuse(X, s):
+        seen.append(s)
+        return False, "refused"
+
+    monkeypatch.setattr(bounds, "is_sphere", refuse)
+    with pytest.raises(AssertionError, match="refused"):
+        build_counterexample(shape, n)
+    assert len(seen) == 1
+
+
 # -- cyclic comparison --------------------------------------------------------
 
 
@@ -237,6 +254,32 @@ def test_hundred_seeds_cubical_n1_all_validate():
     for seed in range(100):
         X = random_skeletal_complex("cubical", 1, seed=seed)
         assert X.validate().ok
+
+
+@pytest.mark.parametrize("n,extra", [(1, 0), (2, 0), (1, 2)])
+def test_cyclic_cross_check_scans_each_complex_once(monkeypatch, n, extra):
+    from aufhebung import bounds
+    calls = []
+
+    def counted(Y, *args, **kwargs):
+        calls.append(Y.shape)
+        return coskeletal_up_to(Y, *args, **kwargs)
+
+    Ys = [random_skeletal_complex("cyclic", n, seed) for seed in range(extra)]
+    want = certify("cyclic", n, extra_complexes=Ys)
+    monkeypatch.setattr(bounds, "coskeletal_up_to", counted)
+    cert = certify("cyclic", n, extra_complexes=Ys)
+    # the counterexample and each extra complex once, and U once
+    assert calls == ["cyclic"] * (1 + extra) + ["simplicial"]
+    assert cert.to_json() == want.to_json()
+    # each cross-check entry is the one-level report of its own scan
+    X, _ = build_cyclic_counterexample(n)
+    U, _ = underlying_simplicial(X)
+    per_level = []
+    for k in range(claimed_upper("cyclic", n) + 1, X.truncation + 1):
+        per_level += [coskeletal_up_to(X, k - 1, k), coskeletal_up_to(U, k - 1, k)]
+    assert [r.to_dict() for r in cert.cyclic_cross_check] == \
+        [r.to_dict() for r in per_level]
 
 
 def test_certify_cyclic_n2():

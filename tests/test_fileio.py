@@ -37,6 +37,27 @@ def test_parse_basic():
     assert X.validate().ok
 
 
+def test_parse_builds_a_bounded_number_of_complexes(monkeypatch):
+    from aufhebung.complexes import SkeletalComplex
+    built = []
+    init = SkeletalComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SkeletalComplex, "__init__", counted)
+    counts = []
+    for n in (1, 10, 300):
+        built.clear()
+        text = "shape simplicial\nskeletal 1\ngen v dim 0\n" + "".join(
+            f"gen e{i} dim 1 faces v v\n" for i in range(n))
+        X = parse_complex(text)
+        assert len(X.generators) == n + 1
+        counts.append(len(built))
+    assert counts == [1, 1, 1]
+
+
 def test_round_trip_all_builders():
     for shape, n in (("cubical", 0), ("cubical", 1), ("cubical", 2),
                      ("simplicial", 0), ("simplicial", 1), ("simplicial", 2),

@@ -1,13 +1,16 @@
 """Independent cross-checks: presentation identities, table coherence, and
 the sphere kernel against a naive product-filter enumeration."""
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 from helpers import empty_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_scan import reference_is_sphere
-from reference_tables import ReferenceTables, act_face_table
+from reference_tables import ReferenceTables, act_cycle_violations, act_face_table
 
 from aufhebung import _kernels
 from aufhebung.bounds import (
@@ -78,6 +81,59 @@ def test_face_tables_match_act_oracle(shape, n):
             want = act_face_table(X, k)
             assert got.dtype == want.dtype == np.int32
             assert got.shape == want.shape and np.array_equal(got, want), (shape, n, k)
+
+
+@pytest.mark.parametrize("shape,n", TABLE_CASES)
+def test_faces_match_act_oracle(shape, n):
+    # every cell's faces, read off the face table, against the action by
+    # each elementary face map
+    for X in table_complexes(shape, n):
+        for k in range(1, X.truncation + 1):
+            fmaps = X.face_maps(k)
+            for c in X.cells_of_dim(k):
+                assert X.faces(c) == tuple(X.act(c, fm) for fm in fmaps), (shape, n, k, c)
+
+
+@pytest.mark.parametrize("shape,n", TABLE_CASES)
+def test_cycle_violations_match_act_oracle_on_generators(shape, n):
+    for X in table_complexes(shape, n):
+        for g in X.generators.values():
+            got = list(X.cycle_violations(g.faces, g.dim))
+            assert got == list(act_cycle_violations(X, g.faces, g.dim)) == []
+
+
+@lru_cache(maxsize=None)
+def _oracle_complex(shape, n, seed):
+    if seed == 0:
+        return build_counterexample(shape, n)[0]
+    return random_skeletal_complex(shape, n, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([case for case in TABLE_CASES if case[1] <= 2]),
+       st.integers(0, 3), st.data())
+def test_cycle_violations_match_act_oracle_on_drawn_families(case, seed, data):
+    # a family of (k-1)-cells is either drawn slot by slot, which breaks
+    # equations more often than not, or the boundary of a k-cell with
+    # some slots redrawn
+    X = _oracle_complex(*case, seed)
+    k = data.draw(st.integers(1, X.truncation), label="k")
+    below = X.cells_of_dim(k - 1)
+    if not len(below):
+        return
+    arity = face_arity(X.shape, k)
+    slot = st.integers(0, len(below) - 1)
+    if data.draw(st.booleans(), label="from a boundary"):
+        cells = X.cells_of_dim(k)
+        ids = [below.index(c) for c in X.faces(cells[data.draw(
+            st.integers(0, len(cells) - 1), label="cell")])]
+        for t in data.draw(st.lists(st.integers(0, arity - 1), max_size=2),
+                           label="redrawn slots"):
+            ids[t] = data.draw(slot)
+    else:
+        ids = data.draw(st.lists(slot, min_size=arity, max_size=arity), label="ids")
+    faces = tuple(below[i] for i in ids)
+    assert list(X.cycle_violations(faces, k)) == list(act_cycle_violations(X, faces, k))
 
 
 @pytest.mark.parametrize("shape,n", TABLE_CASES)
