@@ -16,9 +16,11 @@ that extends a frontier of partial spheres slot by slot:
   toward the slot placed earlier.  Cubes are filled (1,0), (2,0), ...,
   (k,0), (1,1), ..., (k,1), so every slot after the first is bound by an
   equation; the other shapes keep the given order;
-* every constrained column of ``F2`` is argsorted once per scan into a
-  bucket index; a slot's candidates are the bucket of its first equation,
-  filtered by its other equations;
+* ``F2`` is sorted once per scan for each distinct tuple of columns that
+  a slot's equations constrain, each row keyed as one void value, with a
+  stable sort; a prefix's candidates for a slot are then one equal-key
+  range, found by one ``searchsorted`` pair, so every (prefix, candidate)
+  pair the scan materialises is a partial sphere;
 * the frontier is a stack of lexicographic blocks, and one expansion
   materialises at most ``BLOCK`` (prefix, candidate) pairs, so memory
   stays O(BLOCK x slots) and spheres come out in depth-first order of
@@ -64,8 +66,11 @@ def build_constraints(shape: str, k: int) -> list[list[tuple[int, int, int]]]:
 
     Slot d's entry ``(prev, col_new, col_prev)`` is the equation
     ``F2[cell at d, col_new] == F2[cell at prev, col_prev]``, with prev < d
-    and columns indexing the elementary faces of a (k-1)-cell in the slot
-    order of :meth:`SkeletalComplex.face_maps`.  This is the package's only
+    and columns indexing the elementary faces of a (k-1)-cell in sphere slot
+    order: d_0, ..., d_(k-1) for simplicial and cyclic cells; the faces
+    a^0_1, a^1_1, ..., a^0_(k-1), a^1_(k-1) of a cube, a^sign_i in column
+    2(i-1) + sign; source and target for globes.  A k-sphere's slots are
+    ordered the same way one dimension up.  This is the package's only
     statement of the equations.
     """
     if shape in ("simplicial", "cyclic"):
@@ -153,87 +158,96 @@ def find_fillers(B: np.ndarray, row: np.ndarray) -> np.ndarray:
 # the join
 
 
+def _void_rows(A: np.ndarray) -> np.ndarray:
+    """The rows of the int32 table ``A`` as one void key each."""
+    A = np.ascontiguousarray(A, dtype=np.int32)
+    return A.view(np.dtype((np.void, 4 * A.shape[1]))).ravel()
+
+
 class _JoinIndex:
-    """Bucket index of ``F2`` for the cycle equations of one sphere shape."""
+    """Equal-key index of ``F2`` for the cycle equations of one sphere shape.
+
+    Slot d's equations constrain the tuple of columns ``c_new`` of its
+    cell.  ``F2`` is sorted once per distinct tuple on those columns, keyed
+    as one void row, so the cells that meet every equation of a slot
+    against a prefix form one equal-key range.  The sort is stable, so
+    every range lists its cell ids in increasing order.
+    """
 
     def __init__(self, F2: np.ndarray, cons: list[list[tuple[int, int, int]]]):
         self.F2 = F2
         self.n = F2.shape[0]
         self.cons = cons
-        self.order: dict[int, np.ndarray] = {}
-        self.keys: dict[int, np.ndarray] = {}
-        for c in {c_new for row in cons for _, c_new, _ in row}:
-            # stable, so every bucket lists its cell ids in increasing order
-            order = np.argsort(F2[:, c], kind="stable").astype(np.int32)
-            self.order[c] = order
-            self.keys[c] = F2[order, c]
+        by_cols: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # per slot: (prefix slots, their columns, sorted cell ids, sorted keys)
+        self.slots: list[tuple[list[int], list[int], np.ndarray, np.ndarray] | None] = []
+        for row in cons:
+            if not row:
+                self.slots.append(None)
+                continue
+            cols = tuple(c_new for _, c_new, _ in row)
+            if cols not in by_cols:
+                keys = _void_rows(F2[:, cols])
+                cell_ids = np.argsort(keys, kind="stable")
+                by_cols[cols] = cell_ids.astype(np.int32), keys[cell_ids]
+            self.slots.append(([s for s, _, _ in row], [c for _, _, c in row],
+                               *by_cols[cols]))
 
     def ranges(self, d: int, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket range [lo, hi) of slot ``d`` for each prefix row of ``P``."""
-        if not self.cons[d]:
+        """Equal-key range [lo, hi) of slot ``d`` for each prefix row of ``P``."""
+        if self.slots[d] is None:
             return np.zeros(len(P), np.int64), np.full(len(P), self.n, np.int64)
-        s, c_new, c_prev = self.cons[d][0]
-        keys = self.keys[c_new]
-        v = self.F2[P[:, s], c_prev]
-        return np.searchsorted(keys, v, "left"), np.searchsorted(keys, v, "right")
+        prev, c_prev, _, keys = self.slots[d]
+        q = _void_rows(self.F2[P[:, prev], c_prev])
+        return np.searchsorted(keys, q, "left"), np.searchsorted(keys, q, "right")
 
     def cells(self, d: int, pos: np.ndarray) -> np.ndarray:
-        """Cell ids at bucket positions ``pos`` of slot ``d``."""
-        if not self.cons[d]:
+        """Cell ids at sorted positions ``pos`` of slot ``d``."""
+        if self.slots[d] is None:
             return pos.astype(np.int32)
-        return self.order[self.cons[d][0][1]][pos]
-
-    def accept(self, d: int, P: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mask of the cells ``y`` that meet the other equations of slot
-        ``d`` against the prefixes ``P`` (one row per cell)."""
-        ok = np.ones(len(y), dtype=bool)
-        for s, c_new, c_prev in self.cons[d][1:]:
-            ok &= self.F2[y, c_new] == self.F2[P[:, s], c_prev]
-        return ok
+        _, _, cell_ids, _ = self.slots[d]
+        return cell_ids[pos]
 
     def candidates(self, d: int, choice: np.ndarray) -> np.ndarray:
         """Increasing cell ids that can fill slot ``d`` after ``choice[:d]``."""
-        P = choice[None, :d]
-        lo, hi = self.ranges(d, P)
-        y = self.cells(d, np.arange(lo[0], hi[0]))
-        return y[self.accept(d, np.broadcast_to(P, (len(y), d)), y)]
+        lo, hi = self.ranges(d, choice[None, :d])
+        return self.cells(d, np.arange(lo[0], hi[0]))
 
 
 def join_index(F2: np.ndarray, shape: str, k: int) -> _JoinIndex:
-    """The bucket index of the face table ``F2`` for the k-spheres of ``shape``."""
+    """The equal-key index of the face table ``F2`` for the k-spheres of ``shape``."""
     return _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), build_constraints(shape, k))
 
 
 class _Frontier:
-    """Partial spheres with ``d`` slots filled, each with its bucket range
-    for slot ``d``, read as one flat list of (prefix, candidate) pairs in
-    lexicographic order."""
+    """Partial spheres with ``d`` slots filled, each with its equal-key
+    range for slot ``d``, read as one flat list of (prefix, candidate)
+    pairs in lexicographic order."""
 
     def __init__(self, d: int, P: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.d, self.P = d, P
         self.end = np.cumsum(hi - lo)
-        # pair t of row r sits at bucket position base[r] + t
+        # pair t of row r sits at sorted position base[r] + t
         self.base = hi - self.end
         self.size = int(self.end[-1]) if len(P) else 0
         self.pos = 0
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next at most ``n`` pairs: (prefix rows, bucket positions)."""
+        """The next at most ``n`` pairs: (prefix rows, sorted positions)."""
         t = np.arange(self.pos, min(self.pos + n, self.size))
         self.pos += len(t)
         rows = np.searchsorted(self.end, t, side="right")
         return self.P[rows], self.base[rows] + t
 
 
-def _row_set(B: np.ndarray, slots: int):
+def _row_set(B: np.ndarray):
     """Vectorised membership test for rows of ``B``."""
     if B.shape[0] == 0:
         return lambda Q: np.zeros(len(Q), dtype=bool)
-    row = np.dtype((np.void, 4 * slots))
-    keys = np.sort(np.ascontiguousarray(B, dtype=np.int32).view(row).ravel())
+    keys = np.sort(_void_rows(B))
 
     def member(Q: np.ndarray) -> np.ndarray:
-        q = np.ascontiguousarray(Q).view(row).ravel()
+        q = _void_rows(Q)
         i = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
         return keys[i] == q
 
@@ -292,7 +306,7 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     order, cons = plan_slots(shape, k)
     index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
     slots = len(cons)
-    in_B = _row_set(B[:, list(order)], slots)
+    in_B = _row_set(B[:, list(order)])
     # planned column p holds slot order[p], so spheres sort on the slots
     # before the first p with order[p] != p in both orders
     agree = next((p for p, t in enumerate(order) if p != t), slots)
@@ -306,9 +320,7 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
         P, pos = top.take(BLOCK)
         if top.pos == top.size:
             stack.pop()
-        y = index.cells(top.d, pos)
-        ok = index.accept(top.d, P, y)
-        Q = np.concatenate([P[ok], y[ok, None]], axis=1)
+        Q = np.concatenate([P, index.cells(top.d, pos)[:, None]], axis=1)
         if top.d + 1 < slots:
             # the remainder of ``top`` stays below: its pairs come later
             if len(Q):

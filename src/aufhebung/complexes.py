@@ -378,19 +378,6 @@ class SkeletalComplex:
     def count_cells(self, k: int) -> int:
         return len(self.cells_of_dim(k))
 
-    def face_maps(self, k: int) -> list[ShapeMorphism]:
-        """The elementary faces from dimension k, in sphere slot order."""
-        if self.shape == "simplicial":
-            return [SimplexMorphism.face(i, k) for i in range(k + 1)]
-        if self.shape == "cyclic":
-            return [CyclicMorphism.from_simplex(SimplexMorphism.face(i, k))
-                    for i in range(k + 1)]
-        if self.shape == "cubical":
-            return [CubeMorphism.face(i, sign, k)
-                    for i in range(1, k + 1) for sign in (0, 1)]
-        return [GlobeMorphism.generator("sig", k - 1),
-                GlobeMorphism.generator("tau", k - 1)]
-
     def degeneracy_maps(self, k: int) -> list[ShapeMorphism]:
         """The elementary degeneracies hitting dimension k from k + 1."""
         if self.shape == "simplicial":
@@ -504,8 +491,9 @@ class TabulatedPresheaf:
     ``cells[k]`` is the :class:`CellLayer` of the k-cells: a cell's id is
     its position there, and ``cells[k].index(c)`` gives it back.
     ``faces[k]`` is a read-only int32 array of shape (N_k, slots) giving
-    the id of each elementary face of each k-cell, in the sphere slot
-    order of :meth:`SkeletalComplex.face_maps`.  The tables are the
+    the id of each elementary face of each k-cell, in sphere slot order:
+    d_0, ..., d_k for simplicial and cyclic cells; a^0_1, a^1_1, ...,
+    a^0_k, a^1_k for cubes; source and target for globes.  The tables are the
     complex's own memos, so tabulating one complex again, to any height,
     builds only the tables it has not built before.
     """

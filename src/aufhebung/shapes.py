@@ -501,11 +501,6 @@ class CyclicMorphism:
         q, rem = divmod(y, self.dom + 1)
         return self.delta_part(rem) + q * (self.cod + 1)
 
-    def lift_window(self) -> tuple[int, ...]:
-        vals = tuple(self.lift(x) for x in range(self.dom + 1))
-        shift = (vals[0] % (self.cod + 1)) - vals[0]
-        return tuple(v + shift for v in vals)
-
     def __call__(self, p: int) -> int:
         if not (0 <= p <= self.dom):
             raise DomainError(f"{p} is not a point of [{self.dom}]")
@@ -863,8 +858,9 @@ def face_step(shape: str, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The face step from dimension k over a generator of dimension m.
 
     Returns two read-only int32 arrays ``face`` and ``epi`` of shape
-    (epis [k] ->> [m], slots), slots in the order of
-    ``SkeletalComplex.face_maps(k)``.  The face in a slot of the k-cell
+    (epis [k] ->> [m], slots), slots in sphere slot order: d_0, ..., d_k
+    for simplicial and cyclic shapes; a^0_1, a^1_1, ..., a^0_k, a^1_k for
+    cubes; source and target for globes.  The face in a slot of the k-cell
     (g, epi of rank e) is (g, epi of rank ``epi[e, slot]`` onto [m]) when
     ``face[e, slot]`` is -1, since the epi absorbs the face map; otherwise
     it is generator face ``face[e, slot]`` of g acted on by the epi

@@ -8,7 +8,19 @@ scan's ``missing`` rows are the spheres themselves, in scan order.
 import numpy as np
 
 from aufhebung._kernels import build_constraints, scan_spheres
+from aufhebung.bounds import build_counterexample, random_skeletal_complex
 from aufhebung.fillers import Sphere
+
+# the bound-table rows whose complexes the oracle sweeps tabulate in full
+TABLE_CASES = [("cubical", n) for n in (0, 1, 2, 3)] \
+    + [("simplicial", n) for n in (0, 1, 2, 3, 4)] \
+    + [("globular", n) for n in (0, 1, 2, 3)] + [("cyclic", 1), ("cyclic", 2)]
+
+
+def table_complexes(shape, n):
+    """The counterexample and three random complexes, at default truncation."""
+    return [build_counterexample(shape, n)[0]] + [
+        random_skeletal_complex(shape, n, seed) for seed in (1, 2, 3)]
 
 
 def empty_table(shape, k):

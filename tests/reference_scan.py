@@ -28,10 +28,18 @@ from aufhebung.shapes import (
 )
 
 
-def _candidates(F, eqs, prefix):
+def _next_cells(F, eqs, order, placed):
+    """The cells that can fill slot ``order[len(placed)]`` when ``placed``
+    holds the cells of slots ``order[:len(placed)]``, in increasing id."""
+    at = dict(zip(order, placed))
+    new = order[len(placed)]
+    # every equation between ``new`` and a filled slot, from either end
+    checks = [(c_new, at[prev], c_prev) for prev, c_new, c_prev in eqs[new]
+              if prev in at]
+    checks += [(c_prev, at[d], c_new) for d, row in enumerate(eqs) if d in at
+               for prev, c_new, c_prev in row if prev == new]
     return [y for y in range(len(F))
-            if all(F[y][c_new] == F[prefix[s]][c_prev]
-                   for s, c_new, c_prev in eqs[len(prefix)])]
+            if all(F[y][a] == F[z][b] for a, z, b in checks)]
 
 
 def _spheres(F, eqs, order, placed=()):
@@ -43,16 +51,25 @@ def _spheres(F, eqs, order, placed=()):
             sphere[t] = y
         yield tuple(sphere)
         return
-    at = dict(zip(order, placed))
-    new = order[len(placed)]
-    # every equation between ``new`` and a filled slot, from either end
-    checks = [(c_new, at[prev], c_prev) for prev, c_new, c_prev in eqs[new]
-              if prev in at]
-    checks += [(c_prev, at[d], c_new) for d, row in enumerate(eqs) if d in at
-               for prev, c_new, c_prev in row if prev == new]
-    for y in range(len(F)):
-        if all(F[y][a] == F[z][b] for a, z, b in checks):
-            yield from _spheres(F, eqs, order, placed + (y,))
+    for y in _next_cells(F, eqs, order, placed):
+        yield from _spheres(F, eqs, order, placed + (y,))
+
+
+def reference_prefixes(F2, shape, k, order):
+    """Every partial sphere the DFS reaches when it fills the slots in
+    ``order``, with the cells that can fill the next slot: pairs
+    (cells of slots ``order[:p]``, increasing candidate ids), p < slots,
+    in depth-first order."""
+    eqs = build_constraints(shape, k)
+    F = np.asarray(F2).tolist()
+    stack = [()]
+    while stack:
+        placed = stack.pop()
+        if len(placed) == len(eqs):
+            continue
+        cands = _next_cells(F, eqs, order, placed)
+        yield placed, cands
+        stack.extend(placed + (y,) for y in reversed(cands))
 
 
 def reference_scan(F2, B, shape, k, budget=10 ** 6, miss_cap=16):
@@ -89,7 +106,7 @@ def reference_sample(F2, shape, k, n_samples, seed, max_tries=None):
             break
         prefix = ()
         while len(prefix) < len(eqs):
-            cands = _candidates(F, eqs, prefix)
+            cands = _next_cells(F, eqs, range(len(eqs)), prefix)
             if not cands:
                 break
             prefix += (cands[rng.randint(len(cands))],)

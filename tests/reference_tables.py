@@ -2,7 +2,8 @@
 
 The package tabulates face tables only, the input of the sphere scan, and
 gathers them from the shape's integer face-step and epi-composition
-tables.  :func:`act_face_table` builds the same table the direct way, by
+tables.  :func:`face_maps` lists the elementary face maps in sphere slot
+order, :func:`act_face_table` builds the same table the direct way, by
 acting on every cell with every elementary face map, and
 :func:`act_cycle_violations` evaluates the cycle equations the same way.
 :class:`ReferenceTables` adds, from ``X.act`` and ``X.degeneracy_maps``,
@@ -17,13 +18,36 @@ import numpy as np
 
 from aufhebung._kernels import build_constraints
 from aufhebung.complexes import ComplexError
-from aufhebung.shapes import CyclicMorphism, ShapeMorphism, enumerate_epis
+from aufhebung.shapes import (
+    CubeMorphism,
+    CyclicMorphism,
+    GlobeMorphism,
+    ShapeMorphism,
+    SimplexMorphism,
+    enumerate_epis,
+)
+
+
+def face_maps(X, k) -> list[ShapeMorphism]:
+    """The elementary faces from dimension k of ``X``'s shape, in sphere
+    slot order: d_0, ..., d_k for simplices and cyclic sets, a^0_1, a^1_1,
+    ..., a^0_k, a^1_k for cubes, sig and tau for globes."""
+    if X.shape == "simplicial":
+        return [SimplexMorphism.face(i, k) for i in range(k + 1)]
+    if X.shape == "cyclic":
+        return [CyclicMorphism.from_simplex(SimplexMorphism.face(i, k))
+                for i in range(k + 1)]
+    if X.shape == "cubical":
+        return [CubeMorphism.face(i, sign, k)
+                for i in range(1, k + 1) for sign in (0, 1)]
+    return [GlobeMorphism.generator("sig", k - 1),
+            GlobeMorphism.generator("tau", k - 1)]
 
 
 def act_face_table(X, k):
     """The int32 face table of the k-cells of ``X``, built through ``X.act``."""
     layer = X.cells_of_dim(k)
-    fmaps = X.face_maps(k) if k >= 1 else []
+    fmaps = face_maps(X, k) if k >= 1 else []
     below = {c: j for j, c in enumerate(X.cells_of_dim(k - 1))}
     return np.array([[below[X.act(c, fm)] for fm in fmaps] for c in layer],
                     dtype=np.int32).reshape(len(layer), len(fmaps))
@@ -33,7 +57,7 @@ def act_cycle_violations(X, faces, k):
     """``X.cycle_violations(faces, k)`` through ``X.act``: each broken
     equation of ``build_constraints`` found by acting on the faces with the
     elementary face maps of dimension k - 1."""
-    fmaps = X.face_maps(k - 1) if k >= 2 else []
+    fmaps = face_maps(X, k - 1) if k >= 2 else []
     for new, row in enumerate(build_constraints(X.shape, k)):
         for prev, a, b in row:
             if X.act(faces[new], fmaps[a]) != X.act(faces[prev], fmaps[b]):

@@ -191,19 +191,22 @@ def test_criterion_8_oracle_equivalence():
 
 
 def test_criterion_10_certificates_at_the_next_n():
-    # one step past the bounds the other criteria certify; cubical n=3 scans
-    # 8-spheres, which the planned slot order keeps narrow
+    # one step past the bounds the other criteria certify, and the row after
+    # it for cubes and cyclic sets; cubical n=3 scans 8-spheres, which the
+    # planned slot order keeps narrow; simplicial n=5 (about 5 s) is left to
+    # the bound-table loop in CI
     t0 = time.time()
     ok = True
-    for shape, n in (("cubical", 3), ("simplicial", 4), ("cyclic", 2)):
+    for shape, n in (("cubical", 3), ("simplicial", 4), ("cyclic", 2),
+                     ("cubical", 4), ("cyclic", 3)):
         cert = certify(shape, n, extra_complexes=[
             random_skeletal_complex(shape, n, seed=0)])
         ok = ok and cert.ok is True
         ok = ok and all(lv.coverage == "exhaustive"
                         for rep in cert.reports + cert.cyclic_cross_check
                         for lv in rep.levels)
-    _report(10, ok, "certify holds, every level exhaustive, on cubical n=3,"
-                    " simplicial n=4 and cyclic n=2 with one random complex"
+    _report(10, ok, "certify holds, every level exhaustive, on cubical n=3,4,"
+                    " simplicial n=4 and cyclic n=2,3 with one random complex"
                     " each", t0)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 from helpers import first_witness
+from reference_tables import face_maps
 
 from aufhebung.bounds import (
     build_counterexample,
@@ -193,7 +194,7 @@ def test_underlying_simplicial_cell_isomorphism():
             img = translate(cell)
             assert img in tabU.cells[k]
             if k >= 1:
-                for fm_cyc, fm_simp in zip(X.face_maps(k), U.face_maps(k)):
+                for fm_cyc, fm_simp in zip(face_maps(X, k), face_maps(U, k)):
                     assert translate(X.act(cell, fm_cyc)) == U.act(img, fm_simp)
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import empty_table
-from reference_scan import reference_sample, reference_scan
+from helpers import TABLE_CASES, empty_table, table_complexes
+from reference_scan import reference_prefixes, reference_sample, reference_scan
 
 from aufhebung import _kernels
 from aufhebung.bounds import (
@@ -133,6 +133,40 @@ def test_planned_equations_are_the_cycle_equations(shape, k):
             assert q < p
             got.append((order[p], c_new, order[q], c_prev))
     assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_join_index_ranges_are_the_brute_force_candidates(shape):
+    # for the scan's planned orientation and the sampler's given one, every
+    # prefix the reference DFS reaches gets exactly the cells that meet all
+    # of its slot's equations, in increasing id, prefixes batched per depth
+    complexes = [X for sh, n in TABLE_CASES if sh == shape
+                 for X in table_complexes(sh, n)]
+    complexes.append(random_skeletal_complex(shape, 2, seed=5, truncation=4))
+    widest = 0
+    for X in complexes:
+        for k in range(1, min(4, X.truncation) + 1):
+            F2 = X.tabulate(k).faces[k - 1]
+            slots = len(_kernels.build_constraints(shape, k))
+            planned, cons = _kernels.plan_slots(shape, k)
+            for order, index in (
+                    (planned, _kernels._JoinIndex(F2, cons)),
+                    (range(slots), _kernels.join_index(F2, shape, k))):
+                by_depth = {}
+                for placed, want in reference_prefixes(F2, shape, k, order):
+                    by_depth.setdefault(len(placed), []).append((placed, want))
+                for d, pairs in by_depth.items():
+                    P = np.array([p for p, _ in pairs], np.int32).reshape(len(pairs), d)
+                    lo, hi = index.ranges(d, P)
+                    for r, (placed, want) in enumerate(pairs):
+                        got = index.cells(d, np.arange(lo[r], hi[r]))
+                        assert got.tolist() == want, (shape, k, d, placed)
+                        choice = np.array(placed + (0,) * (slots - d), np.int32)
+                        assert index.candidates(d, choice).tolist() == want
+                    widest = max(widest, len(index.cons[d]))
+    # the last slot of a 4-sphere keys on every equation it meets: 6 for the
+    # cubical slot (4,1), the widest key here
+    assert widest == {"simplicial": 4, "cyclic": 4, "cubical": 6, "globular": 2}[shape]
 
 
 @st.composite

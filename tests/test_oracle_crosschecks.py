@@ -6,11 +6,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import empty_table
+from helpers import TABLE_CASES, empty_table, table_complexes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_scan import reference_is_sphere
-from reference_tables import ReferenceTables, act_cycle_violations, act_face_table
+from reference_tables import ReferenceTables, act_cycle_violations, act_face_table, face_maps
 
 from aufhebung import _kernels
 from aufhebung.bounds import (
@@ -62,17 +62,6 @@ def test_cyclic_presentation_identities():
         assert compose(t, s(n, n + 1)) == compose(wrap, t_hi)
 
 
-TABLE_CASES = [("cubical", n) for n in (0, 1, 2, 3)] \
-    + [("simplicial", n) for n in (0, 1, 2, 3, 4)] \
-    + [("globular", n) for n in (0, 1, 2, 3)] + [("cyclic", 1), ("cyclic", 2)]
-
-
-def table_complexes(shape, n):
-    """The counterexample and three random complexes, at default truncation."""
-    return [build_counterexample(shape, n)[0]] + [
-        random_skeletal_complex(shape, n, seed) for seed in (1, 2, 3)]
-
-
 @pytest.mark.parametrize("shape,n", TABLE_CASES)
 def test_face_tables_match_act_oracle(shape, n):
     for X in table_complexes(shape, n):
@@ -89,7 +78,7 @@ def test_faces_match_act_oracle(shape, n):
     # each elementary face map
     for X in table_complexes(shape, n):
         for k in range(1, X.truncation + 1):
-            fmaps = X.face_maps(k)
+            fmaps = face_maps(X, k)
             for c in X.cells_of_dim(k):
                 assert X.faces(c) == tuple(X.act(c, fm) for fm in fmaps), (shape, n, k, c)
 
@@ -278,5 +267,5 @@ def test_naive_filler_counts_match_oracle():
         sphere = make_sphere(X, tuple(tab.cells[k - 1][i] for i in combo), k)
         res = brute_force_fill(X, sphere)
         direct = [c for c in tab.cells[k]
-                  if tuple(X.act(c, fm) for fm in X.face_maps(k)) == sphere.faces]
+                  if tuple(X.act(c, fm) for fm in face_maps(X, k)) == sphere.faces]
         assert list(res.witnesses) == direct
