@@ -1,4 +1,5 @@
-"""Small readers of the package's results, shared by the tests.
+"""Small readers of the package's results, and the complexes the oracle
+sweeps tabulate, shared by the tests.
 
 None of this is used by the package.  Spheres are listed by scanning
 against an empty boundary table: every sphere is then unfilled, so the
