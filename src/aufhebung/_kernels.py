@@ -28,7 +28,12 @@ that extends a frontier of partial spheres slot by slot:
 * finished spheres are looked up in the k-cell boundary table, its columns
   permuted into planned order once, one block at a time; the unfilled
   spheres reported are the lexicographically smallest in the given slot
-  order, kept by a running merge.
+  order, kept by a running merge;
+* once that merge holds its full count and the next sphere sorts after
+  all it holds, no later sphere can enter it, so each remaining block of
+  complete spheres is counted from its range sizes without being built;
+  the unfilled count is then the sphere count less the number of
+  distinct boundary rows that are counted spheres.
 
 Fillers are rows of the dimension-k face table, so existence is a sorted
 row membership test and uniqueness is duplicate-row detection.  The
@@ -37,6 +42,7 @@ benchmark in ``perfbench/`` times the scan end to end and per layer.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -232,12 +238,16 @@ class _Frontier:
         self.size = int(self.end[-1]) if len(P) else 0
         self.pos = 0
 
+    def pairs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs ``t`` of the flat list: (prefix rows, sorted positions)."""
+        rows = np.searchsorted(self.end, t, side="right")
+        return self.P[rows], self.base[rows] + t
+
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next at most ``n`` pairs: (prefix rows, sorted positions)."""
         t = np.arange(self.pos, min(self.pos + n, self.size))
         self.pos += len(t)
-        rows = np.searchsorted(self.end, t, side="right")
-        return self.P[rows], self.base[rows] + t
+        return self.pairs(t)
 
 
 def _row_set(B: np.ndarray):
@@ -268,11 +278,31 @@ class SphereScan:
     overflow: bool
 
 
+def _lex_lt(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``A`` lexicographically below ``t``."""
+    first = np.argmax(A != t, axis=1)
+    return A[np.arange(len(A)), first] < t[first]
+
+
 def _lex_le(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``A`` lexicographically at or below ``t``."""
-    diff = A != t
-    first = np.argmax(diff, axis=1)
-    return ~diff.any(axis=1) | (A[np.arange(len(A)), first] < t[first])
+    return _lex_lt(A, t) | np.all(A == t, axis=1)
+
+
+def _sphere_rows(F2: np.ndarray, cons, A: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``A``, slots in planned order, that meet every
+    planned cycle equation ``cons``: the rows that are spheres."""
+    ok = np.ones(len(A), dtype=bool)
+    for p, row in enumerate(cons):
+        for q, c_new, c_prev in row:
+            ok &= F2[A[:, p], c_new] == F2[A[:, q], c_prev]
+    return ok
+
+
+def _n_distinct(A: np.ndarray) -> int:
+    """Number of distinct rows of ``A``: sorted keys, neighbours compared."""
+    keys = np.sort(_void_rows(A))
+    return min(len(keys), 1) + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _prefix_cut(A: np.ndarray, t: np.ndarray, width: int) -> int:
@@ -299,6 +329,13 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     are counted and ``overflow`` is set: every count, and ``missing``,
     then describes that prefix.  Against an empty ``B`` every sphere is
     missing, which lists the spheres themselves.
+
+    Complete spheres are materialised and looked up in ``B`` only while
+    they can still enter ``missing``; after that, each last-slot block of
+    the frontier is counted from its range sizes.  ``n_missing`` is the
+    number of counted spheres less the number of distinct rows of ``B``
+    that are counted spheres: rows that meet the cycle equations and, on
+    overflow, sort before the first uncounted sphere.
     """
     require_positive(budget=budget)
     if miss_cap < 0:
@@ -306,17 +343,34 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     order, cons = plan_slots(shape, k)
     index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
     slots = len(cons)
-    in_B = _row_set(B[:, list(order)])
+    # the rows of B that are spheres, slots in planned order
+    filled = B[:, list(order)]
+    filled = filled[_sphere_rows(index.F2, cons, filled)]
+    in_B = _row_set(filled)
     # planned column p holds slot order[p], so spheres sort on the slots
     # before the first p with order[p] != p in both orders
     agree = next((p for p, t in enumerate(order) if p != t), slots)
+    width = min(agree, slots - 1)
     kept = np.zeros((0, slots), dtype=np.int32)
-    n_sph = n_miss = 0
-    overflow = False
+    n_sph = 0
+    first = None     # the first uncounted sphere, on overflow
     root = np.zeros((1, 0), dtype=np.int32)
     stack = [_Frontier(0, root, *index.ranges(0, root))]
-    while stack and not overflow:
+    while stack and first is None:
         top = stack[-1]
+        if top.d + 1 == slots and top.pos < top.size and len(kept) == miss_cap:
+            # once ``kept`` is full and the next sphere sorts after its rows,
+            # so does every later one: count the rest of ``top`` from its
+            # range sizes, without materialising it
+            P, _ = top.pairs(np.array([top.pos]))
+            if not miss_cap or tuple(P[0, :width]) > tuple(kept[-1, :width]):
+                stack.pop()
+                left = budget - n_sph
+                if top.size - top.pos > left:
+                    P, pos = top.pairs(np.array([top.pos + left]))
+                    first = np.append(P[0], index.cells(top.d, pos))
+                n_sph += min(top.size - top.pos, left)
+                continue
         P, pos = top.take(BLOCK)
         if top.pos == top.size:
             stack.pop()
@@ -327,11 +381,10 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
                 stack.append(_Frontier(top.d + 1, Q, *index.ranges(top.d + 1, Q)))
             continue
         if len(Q) > budget - n_sph:
+            first = Q[budget - n_sph]
             Q = Q[:budget - n_sph]
-            overflow = True
         n_sph += len(Q)
         miss = Q[~in_B(Q)]
-        n_miss += len(miss)
         # nothing to keep, or this block and every later one sort after
         # the kept rows
         if not len(miss) or not miss_cap or (
@@ -348,8 +401,24 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
             rows = np.concatenate([kept, miss[:, to_slot_order]])
             rows = rows[_lex_le(rows, t)]
         kept = rows[_lex_order(rows)[:miss_cap]]
-    return SphereScan(n_spheres=n_sph, n_missing=n_miss,
-                      missing=kept, overflow=overflow)
+    if first is not None:
+        filled = filled[_lex_lt(filled, first)]
+    return SphereScan(n_spheres=n_sph, n_missing=n_sph - _n_distinct(filled),
+                      missing=kept, overflow=first is not None)
+
+
+# one generator per thread for the sampler: reseeding an existing
+# RandomState gives the stream of a new one, without the cost of building it
+_sampler = threading.local()
+
+
+def _seeded(seed: int) -> np.random.RandomState:
+    """This thread's sampler generator, reseeded with ``seed``."""
+    rng = getattr(_sampler, "rng", None)
+    if rng is None:
+        rng = _sampler.rng = np.random.RandomState()
+    rng.seed(seed)
+    return rng
 
 
 def sample_spheres(index: _JoinIndex, n_samples: int, seed: int,
@@ -364,7 +433,7 @@ def sample_spheres(index: _JoinIndex, n_samples: int, seed: int,
     slots = len(index.cons)
     if max_tries is None:
         max_tries = 20 * n_samples
-    rng = np.random.RandomState(seed)
+    rng = _seeded(seed)
     choice = np.zeros(slots, dtype=np.int32)
     found: set[tuple[int, ...]] = set()
     tries = 0

@@ -5,6 +5,8 @@ The two implementations compared here are ``_kernels.scan_spheres`` /
 """
 
 import hashlib
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import TABLE_CASES, empty_table, table_complexes
 from reference_scan import reference_prefixes, reference_sample, reference_scan
 
-from aufhebung import _kernels
+from aufhebung import _kernels, cli
 from aufhebung.bounds import (
     build_cubical_counterexample,
     build_simplicial_counterexample,
@@ -23,9 +25,19 @@ from aufhebung.bounds import (
 from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex
 from aufhebung.fileio import serialize_complex
 from aufhebung.fillers import coskeletal_up_to
-from aufhebung.shapes import CubeMorphism
+from aufhebung.shapes import CubeMorphism, SimplexMorphism
 
 SHAPES = ("simplicial", "cubical", "globular", "cyclic")
+
+
+def loops(shape, m, top, extra=()):
+    """One vertex ``v`` with loops ``e0``, ..., ``e(m-1)``, and the 1-skeletal
+    generators ``extra``, truncated at ``top``."""
+    ident = (CubeMorphism if shape == "cubical" else SimplexMorphism).identity(0)
+    v = Cell("v", ident)
+    return SkeletalComplex(shape, 1, [GeneratorDecl("v", 0, ())] + [
+        GeneratorDecl(f"e{i}", 1, (v, v)) for i in range(m)] + list(extra),
+        truncation=top)
 
 
 def assert_same_scan(got, want):
@@ -65,10 +77,7 @@ def test_backends_identical_on_budget_overflow():
 def test_blocks_split_inside_a_bucket():
     # one vertex and 4 loops: every slot of a cubical 2-sphere ranges over
     # all 5 one-cells, 625 spheres; tiny blocks cut each range mid-way
-    v = Cell("v", CubeMorphism.identity(0))
-    X = SkeletalComplex("cubical", 1, [GeneratorDecl("v", 0, ())] + [
-        GeneratorDecl(f"e{i}", 1, (v, v)) for i in range(4)], truncation=2)
-    tab = X.tabulate(2)
+    tab = loops("cubical", 4, 2).tabulate(2)
     F2 = tab.faces[1]
     # the second case lists the smallest 300 of 600 counted spheres, the
     # third the smallest 5 of all 625, kept across blocks that come in
@@ -87,6 +96,65 @@ def test_blocks_split_inside_a_bucket():
     assert len(prefix.missing) == 300
     assert smallest.n_spheres == smallest.n_missing == 625 and not smallest.overflow
     assert smallest.missing.tolist() == [[0, 0, 0, i] for i in range(5)]
+
+
+def counting_membership(tested):
+    """Patch ``_kernels._row_set`` to append to ``tested`` the number of
+    rows each membership test looks up."""
+    row_set = _kernels._row_set
+
+    def counting_row_set(B):
+        member = row_set(B)
+
+        def counted_member(Q):
+            tested.append(len(Q))
+            return member(Q)
+        return counted_member
+
+    return mock.patch.object(_kernels, "_row_set", counting_row_set)
+
+
+def test_counted_spheres_skip_the_membership_test():
+    # 14^4 cubical 2-spheres on 13 loops: once the 16 smallest unfilled
+    # ones are kept, the rest of the last slot is counted, not looked up
+    tab = loops("cubical", 13, 2).tabulate(2)
+    tested = []
+    with counting_membership(tested):
+        scan = _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2)
+    assert (scan.n_spheres, scan.n_missing, len(scan.missing)) == (14 ** 4, 14 ** 4 - 27, 16)
+    assert 0 < sum(tested) <= 2 * _kernels.BLOCK
+
+
+def test_counted_spheres_against_reference_with_stray_rows():
+    # two loops at v and an edge f from v to w: a boundary table with a
+    # duplicate row and a row that breaks a cycle equation, read at every
+    # budget, so cuts fall before, inside and after the counted part
+    v, w = (Cell(name, CubeMorphism.identity(0)) for name in "vw")
+    X = loops("cubical", 2, 2, [GeneratorDecl("w", 0, ()), GeneratorDecl("f", 1, (v, w))])
+    tab = X.tabulate(2)
+    F2, B = tab.faces[1], tab.faces[2]
+    spheres = reference_scan(F2, empty_table("cubical", 2), "cubical", 2,
+                             miss_cap=10 ** 4).missing
+    every = {tuple(map(int, r)) for r in spheres}
+    n = len(spheres)
+    stray = next(r for r in np.ndindex(*(len(F2),) * 4) if r not in every)
+    B = np.concatenate([B, B[-1:], B[:1], [stray]]).astype(np.int32)
+    for block in (1, 3, _kernels.BLOCK):
+        for miss_cap in (0, 1, 4):
+            # (some spheres counted without a lookup, budget cut) per scan
+            seen = set()
+            for budget in range(1, n + 2):
+                kw = dict(budget=budget, miss_cap=miss_cap)
+                tested = []
+                with mock.patch.object(_kernels, "BLOCK", block), \
+                        counting_membership(tested):
+                    got = _kernels.scan_spheres(F2, B, "cubical", 2, **kw)
+                assert_same_scan(got, reference_scan(F2, B, "cubical", 2, **kw))
+                seen.add((sum(tested) < got.n_spheres, got.overflow))
+            # blocks smaller than the level: cuts before, inside and after
+            # the counted part
+            if block < n and miss_cap:
+                assert seen == {(False, True), (True, True), (True, False)}
 
 
 def test_reports_identical_across_backends():
@@ -290,6 +358,105 @@ def test_random_complexes_unchanged():
         random_skeletal_complex(*key)).encode()).hexdigest()
         for key in RANDOM_COMPLEX_SHA256}
     assert got == RANDOM_COMPLEX_SHA256
+
+
+# sha256 of coskeletal_up_to(loops(shape, m, top), 1, top, budget_spheres=b)
+# .to_json(), keyed (shape, b), for the dense scans of the benchmark: 13
+# cubical loops over (1, 2] and 30 simplicial loops over (1, 3].  Budget
+# 1000 cuts level 2 in the block the scan looks up, 38415 (29790) in the
+# part it counts from range sizes, one short of all 14^4 (31^3) spheres,
+# and 38416 (29791) and 10^6 cut nothing.  Recorded before the scan
+# counted its last slot.
+LOOP_REPORT_SHA256 = {
+    ('cubical', 1000000): '443b49e0b9d01bd18e811388a51369ff3dc61bbe21ae2c855629f8242c46b404',
+    ('cubical', 1000): 'ecd25427e85bc6994621477e430e9132c5d30d0f893c11276fdbfb05e5c8413a',
+    ('cubical', 38415): '5a7987f435e5b26e67241632d5955b9a0c23d3680dc839d057e6eab342c2111d',
+    ('cubical', 38416): '443b49e0b9d01bd18e811388a51369ff3dc61bbe21ae2c855629f8242c46b404',
+    ('simplicial', 1000000): '26cb037e655e6b07b350e2afb498beecf555bfda326f050ea6d10ae8b5d2965d',
+    ('simplicial', 1000): '020b47e028850cd702cb0982e545ac4f6c3a6e4f5bac3ac2db7a7f8ea4e58edb',
+    ('simplicial', 29790): '6c51b6d7ad0f4814de1a22eec900ee68579c4135dcf7014f4baa0ed3bd598849',
+    ('simplicial', 29791): '26cb037e655e6b07b350e2afb498beecf555bfda326f050ea6d10ae8b5d2965d',
+}
+LOOP_SIZES = {"cubical": (13, 2), "simplicial": (30, 3)}
+
+
+@pytest.mark.parametrize("shape,budget", sorted(LOOP_REPORT_SHA256))
+def test_loop_reports_unchanged(shape, budget):
+    m, top = LOOP_SIZES[shape]
+    report = coskeletal_up_to(loops(shape, m, top), 1, top, budget_spheres=budget)
+    got = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert got == LOOP_REPORT_SHA256[shape, budget]
+
+
+# sha256 of the stdout of `aufhebung verify --shape S --n N --seeds 1`,
+# keyed (S, N), for the bound-table rows that CI verifies (simplicial 5,
+# about 5 s, is left to CI).  Recorded before the scan counted its last
+# slot.
+VERIFY_SHA256 = {
+    ('globular', 0): 'adc072bcb2d5a606a29004a5fb2b402d4d1db4e2e0ed57d8e67df0de37e16033',
+    ('globular', 1): '56d9eb224883755b96dd96ec5591bf8c0252fa49ebcc672cf443a748fcd8e484',
+    ('globular', 2): '5b0ab4de8d9d670d23ea26b6b446ff920c3a3eaa84689e80c3381730dd03e543',
+    ('globular', 3): '5b4594e3330552f892dbc40aa1d0f3b107917a422ffd86a629c407d3a3b18c2f',
+    ('cubical', 0): '1f4ddd537fae578ce8c105ec5681e3e629ca49a28ce5bf52ab74f40416f4a702',
+    ('cubical', 1): 'e6617a9ee21fd93df61fe6e4dbecf9cbcdbe4b4a4a8155c44b57b881e431ddbe',
+    ('cubical', 2): 'cd7707d4da49550eb66851d8ab0ef795a433ab77076c4a8eac814e750cd5c33b',
+    ('cubical', 3): '30131a20ceb67e5b01e030eba71e428fa9393e1039200fb2ee34b217a8779c20',
+    ('cubical', 4): 'cf1476190d01354b6dda1dcb31d7194c43d80c23411fb54062f9d41a8961ea97',
+    ('simplicial', 0): '58174f4cc32889a6f96146cf3e860d0409c728fdd41795e1cc79a862a812332e',
+    ('simplicial', 1): '76f73e7618dbbb0a12dff6dfd67bdb33d58c382b819b687508af02cb4e01960d',
+    ('simplicial', 2): '064e68357608d333ab96a5373639171c3c9d40007ec709bebb7672ad6375a7e3',
+    ('simplicial', 3): '1a2443be4853a9fa13642077f228d1dbc29b54837c124b4dc87109b822bdb2f6',
+    ('simplicial', 4): 'be843bf0559f2407f90caa2ec64bc790b3133dd8216d1e16772f24a4085865f8',
+    ('cyclic', 1): 'c17282227e881c2dfd96c73873778a1e019443d08b1ed82e47e4ec67547f0110',
+    ('cyclic', 2): '2ddf555539a3b0aa9b5c06e0208cf2eee4e7eedfb258fc23796e3804a88b4822',
+    ('cyclic', 3): '7f3ba2db38ac69e89f45bd8a88671e14b548261e5ee52dc678b02f0386b58b69',
+}
+
+
+@pytest.mark.parametrize("shape,n", sorted(VERIFY_SHA256))
+def test_verify_output_unchanged(shape, n, capsys):
+    assert cli.main(["verify", "--shape", shape, "--n", str(n), "--seeds", "1"]) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == VERIFY_SHA256[shape, n]
+
+
+def test_sampler_builds_one_generator_per_thread(monkeypatch):
+    # a random complex builds its own generator, and the sampler reseeds
+    # one per thread instead of building one per generator it draws;
+    # threads drawing at once, more than there are cores, with frequent
+    # switches, still get the pinned complexes
+    real = np.random.RandomState
+    built = threading.local()
+
+    def counting(*args):
+        built.n = getattr(built, "n", 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(np.random, "RandomState", counting)
+    keys = [key for key in RANDOM_COMPLEX_SHA256 if key[1] == 3]
+    results = {}
+
+    def draw(name):
+        for key in keys:
+            built.n = 0
+            text = serialize_complex(random_skeletal_complex(*key))
+            results[name, key] = built.n, hashlib.sha256(text.encode()).hexdigest()
+
+    threads = [threading.Thread(target=draw, args=(name,)) for name in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * len(keys)
+    for (_, key), (n_built, digest) in results.items():
+        assert n_built <= 2, key
+        assert digest == RANDOM_COMPLEX_SHA256[key]
 
 
 def test_duplicate_row_groups():
