@@ -289,14 +289,24 @@ def _lex_le(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _lex_lt(A, t) | np.all(A == t, axis=1)
 
 
-def _sphere_rows(F2: np.ndarray, cons, A: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _planned_equations(shape: str, k: int) -> tuple[np.ndarray, ...]:
+    """The planned cycle equations of :func:`plan_slots` as four index
+    arrays, one entry per equation: its slot, the earlier slot, and their
+    columns.  Cached per process and read-only."""
+    _, cons = plan_slots(shape, k)
+    eqs = np.array([(p, q, c_new, c_prev) for p, row in enumerate(cons)
+                    for q, c_new, c_prev in row], dtype=np.intp).reshape(-1, 4)
+    eqs.flags.writeable = False
+    return tuple(eqs.T)
+
+
+def _sphere_rows(F2: np.ndarray, shape: str, k: int, A: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``A``, slots in planned order, that meet every
-    planned cycle equation ``cons``: the rows that are spheres."""
-    ok = np.ones(len(A), dtype=bool)
-    for p, row in enumerate(cons):
-        for q, c_new, c_prev in row:
-            ok &= F2[A[:, p], c_new] == F2[A[:, q], c_prev]
-    return ok
+    cycle equation: the rows that are k-spheres."""
+    p, q, c_new, c_prev = _planned_equations(shape, k)
+    faces = F2[A]
+    return np.all(faces[:, p, c_new] == faces[:, q, c_prev], axis=1)
 
 
 def _n_distinct(A: np.ndarray) -> int:
@@ -345,7 +355,7 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     slots = len(cons)
     # the rows of B that are spheres, slots in planned order
     filled = B[:, list(order)]
-    filled = filled[_sphere_rows(index.F2, cons, filled)]
+    filled = filled[_sphere_rows(index.F2, shape, k, filled)]
     in_B = _row_set(filled)
     # planned column p holds slot order[p], so spheres sort on the slots
     # before the first p with order[p] != p in both orders
