@@ -303,10 +303,13 @@ def _planned_equations(shape: str, k: int) -> tuple[np.ndarray, ...]:
 
 def _sphere_rows(F2: np.ndarray, shape: str, k: int, A: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``A``, slots in planned order, that meet every
-    cycle equation: the rows that are k-spheres."""
+    cycle equation: the rows that are k-spheres.  Rows are checked in
+    chunks of at most ``BLOCK`` equations, so memory stays O(BLOCK)."""
     p, q, c_new, c_prev = _planned_equations(shape, k)
-    faces = F2[A]
-    return np.all(faces[:, p, c_new] == faces[:, q, c_prev], axis=1)
+    step = max(1, BLOCK // max(len(p), 1))
+    return np.concatenate([np.ones(0, dtype=bool)] + [
+        np.all(F2[R[:, p], c_new] == F2[R[:, q], c_prev], axis=1)
+        for R in (A[i:i + step] for i in range(0, len(A), step))])
 
 
 def _n_distinct(A: np.ndarray) -> int:
