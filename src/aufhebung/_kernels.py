@@ -356,16 +356,17 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     order, cons = plan_slots(shape, k)
     index = _JoinIndex(np.ascontiguousarray(F2, dtype=np.int32), cons)
     slots = len(cons)
-    # the rows of B that are spheres, slots in planned order
+    # the rows of B, slots in planned order; a row that is no sphere
+    # never equals one, so the membership test reads them all
     filled = B[:, list(order)]
-    filled = filled[_sphere_rows(index.F2, shape, k, filled)]
     in_B = _row_set(filled)
     # planned column p holds slot order[p], so spheres sort on the slots
     # before the first p with order[p] != p in both orders
     agree = next((p for p, t in enumerate(order) if p != t), slots)
     width = min(agree, slots - 1)
     kept = np.zeros((0, slots), dtype=np.int32)
-    n_sph = 0
+    n_sph = n_miss = n_counted = 0
+    start = None     # the first sphere counted from range sizes
     first = None     # the first uncounted sphere, on overflow
     root = np.zeros((1, 0), dtype=np.int32)
     stack = [_Frontier(0, root, *index.ranges(0, root))]
@@ -375,13 +376,16 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
             # once ``kept`` is full and the next sphere sorts after its rows,
             # so does every later one: count the rest of ``top`` from its
             # range sizes, without materialising it
-            P, _ = top.pairs(np.array([top.pos]))
+            P, pos = top.pairs(np.array([top.pos]))
             if not miss_cap or tuple(P[0, :width]) > tuple(kept[-1, :width]):
+                if start is None:
+                    start = np.append(P[0], index.cells(top.d, pos))
                 stack.pop()
                 left = budget - n_sph
                 if top.size - top.pos > left:
                     P, pos = top.pairs(np.array([top.pos + left]))
                     first = np.append(P[0], index.cells(top.d, pos))
+                n_counted += min(top.size - top.pos, left)
                 n_sph += min(top.size - top.pos, left)
                 continue
         P, pos = top.take(BLOCK)
@@ -398,6 +402,7 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
             Q = Q[:budget - n_sph]
         n_sph += len(Q)
         miss = Q[~in_B(Q)]
+        n_miss += len(miss)
         # nothing to keep, or this block and every later one sort after
         # the kept rows
         if not len(miss) or not miss_cap or (
@@ -414,9 +419,15 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
             rows = np.concatenate([kept, miss[:, to_slot_order]])
             rows = rows[_lex_le(rows, t)]
         kept = rows[_lex_order(rows)[:miss_cap]]
-    if first is not None:
-        filled = filled[_lex_lt(filled, first)]
-    return SphereScan(n_spheres=n_sph, n_missing=n_sph - _n_distinct(filled),
+    if start is not None:
+        # every sphere from ``start`` on, up to ``first``, was counted; the
+        # filled ones among them are the distinct sphere rows of B there
+        filled = filled[~_lex_lt(filled, start)]
+        if first is not None:
+            filled = filled[_lex_lt(filled, first)]
+        filled = filled[_sphere_rows(index.F2, shape, k, filled)]
+        n_miss += n_counted - _n_distinct(filled)
+    return SphereScan(n_spheres=n_sph, n_missing=n_miss,
                       missing=kept, overflow=first is not None)
 
 

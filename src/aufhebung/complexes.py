@@ -9,11 +9,15 @@ normal form is structural rather than computed.
 :class:`CellLayer` numbers the k-cells without storing them: a cell's id
 is its generator's offset plus the rank of its epi, so the layer computes
 a cell from its id and an id from its cell.  The faces of every cell are
-read from the complex's face tables, gathered from the shape's integer
-face-step and epi-composition tables and built once per dimension:
+read from the complex's face tables, built once per dimension:
 :meth:`SkeletalComplex.faces`, the cycle equations of validation and
 ``is_sphere``, and :class:`TabulatedPresheaf`, the input of the sphere
-scan, all read them.
+scan, all read them.  A table is gathered from the shape's integer
+face-step and epi-composition tables in a few numpy steps per generator
+dimension, whatever the number of generators: the complex plans each
+dimension's gather once, ranking every generator face's epi a single
+time, and each table reads the plans of the dimensions at or below its
+own.
 
 The contravariant action :meth:`SkeletalComplex.act` serves what the face
 tables do not hold: degeneracies and sections.  It composes the morphism
@@ -27,6 +31,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,9 +149,10 @@ class SkeletalComplex:
 
     Immutable after construction; all queries are pure, so instances are
     safe to share across worker threads.  Actions and, per dimension, the
-    cell layer and the read-only face table of the cells are memoised; a
-    memo entry is computed from immutable data, so two threads that race
-    on one entry store equal values.
+    cell layer, the read-only face table of the cells and the gather plan
+    of the generators are memoised; a memo entry is computed from
+    immutable data, so two threads that race on one entry store equal
+    values.
     """
 
     def __init__(self, shape: str, skeletal_level: int, generators,
@@ -156,10 +162,15 @@ class SkeletalComplex:
         self.shape = shape
         self.skeletal_level = skeletal_level
         self.generators: dict[str, GeneratorDecl] = {}
+        # declaration positions, and the generators of each dimension
+        self._position: dict[str, int] = {}
+        self._by_dim: dict[int, list[GeneratorDecl]] = {}
         for g in generators:
             if g.name in self.generators:
                 raise ComplexError(f"duplicate generator {g.name!r}")
+            self._position[g.name] = len(self.generators)
             self.generators[g.name] = g
+            self._by_dim.setdefault(g.dim, []).append(g)
         if truncation is None:
             truncation = 2 * skeletal_level + 2
         if truncation < skeletal_level:
@@ -168,6 +179,7 @@ class SkeletalComplex:
         self._act_memo: dict[tuple[Cell, ShapeMorphism], Cell] = {}
         self._layers: dict[int, CellLayer] = {}
         self._faces_memo: dict[int, np.ndarray] = {}
+        self._plans: dict[int, tuple[np.ndarray, dict]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -394,40 +406,94 @@ class SkeletalComplex:
     def tabulate(self, up_to: int, budget_cells: int = 10 ** 6) -> "TabulatedPresheaf":
         return TabulatedPresheaf.build(self, up_to, budget_cells)
 
+    def _dimension_plan(self, m: int) -> tuple[np.ndarray, dict]:
+        """The gather plan of the generators of dimension m, built once.
+
+        Returns ``(gens, faces)``: ``gens`` holds the declaration positions
+        of the dimension-m generators, and ``faces`` maps each dimension c
+        of a generator that their faces name to four index arrays, one
+        entry per such face: the generator's row in ``gens``, the face's
+        slot row 1 + j, the face generator's position and the rank of the
+        face's epi onto [c].  A face that is not an (m-1)-cell of a declared
+        generator raises :class:`ComplexError`, so no plan is kept for
+        ill-formed attaching data.
+        """
+        plan = self._plans.get(m)
+        if plan is None:
+            gens: list[int] = []
+            faces: dict[int, list[tuple[int, int, int, int]]] = {}
+            for g in self._by_dim[m]:
+                for j, c in enumerate(g.faces):
+                    if c.dim != m - 1:
+                        raise ComplexError(f"face {c!r} of {g.name!r} has dimension"
+                                           f" {c.dim}, expected {m - 1}")
+                    if c.generator not in self.generators:
+                        raise ComplexError(f"face {c!r} of {g.name!r} uses undeclared"
+                                           f" generator {c.generator!r}")
+                    if (not c.epi.is_epi
+                            or c.generator_dim != self.generators[c.generator].dim):
+                        raise ComplexError(f"face {c!r} of {g.name!r} is not a cell of"
+                                           f" generator {c.generator!r}")
+                    faces.setdefault(c.generator_dim, []).append(
+                        (len(gens), 1 + j, self._position[c.generator], epi_rank(c.epi)))
+                gens.append(self._position[g.name])
+            plan = self._plans[m] = (
+                np.array(gens, np.intp),
+                {c: tuple(np.array(col, np.intp) for col in zip(*entries))
+                 for c, entries in faces.items()})
+        return plan
+
     def _face_table(self, k: int) -> np.ndarray:
         """The read-only int32 table of the k-cells' face ids, built once.
 
-        Each generator's rows are one gather from the shape's integer
-        tables.  Row 0 of its ``targets`` holds the ids of its own
-        (k-1)-cells, where :func:`shapes.face_step` sends the faces its
-        epis absorb; row 1 + j holds, per epi [k-1] ->> [dim - 1], the id
-        of face j acted on by that epi, composed by
-        :func:`shapes.epi_composition`.
+        The rows of the generators of one dimension m are one gather from
+        the shape's integer tables, over a ``targets`` array of shape
+        (generators, 1 + faces, W).  Row 0 holds the ids of each
+        generator's own (k-1)-cells, where :func:`shapes.face_step` sends
+        the faces its epis absorb; row 1 + j holds, per epi [k-1] ->>
+        [m - 1], the id of face j acted on by that epi, composed by
+        :func:`shapes.epi_composition` for all faces over generators of
+        one dimension at once.  The faces are read from
+        :meth:`_dimension_plan`, so each generator face is ranked once per
+        complex, not once per table.
         """
         table = self._faces_memo.get(k)
         if table is None:
-            offset = self.cells_of_dim(k - 1).offset
-            blocks = [np.zeros((0, face_arity(self.shape, k)), np.int32)]
-            for name, g in self.generators.items():
-                if g.dim > k:
+            below, layer = self.cells_of_dim(k - 1), self.cells_of_dim(k)
+            table = np.empty((len(layer), face_arity(self.shape, k)), np.int32)
+            for m in self._by_dim:
+                if m > k:
                     continue
-                face, epi = shapes.face_step(self.shape, k, g.dim)
-                n_own = count_epis(k - 1, g.dim, self.shape)
-                n_sub = count_epis(k - 1, g.dim - 1, self.shape)
-                targets = np.full((1 + len(g.faces), max(n_own, n_sub)), -1, np.int32)
-                targets[0, :n_own] = offset[name] + np.arange(n_own)
-                for j, c in enumerate(g.faces):
-                    if c.dim != g.dim - 1:
-                        raise ComplexError(f"face {c!r} of {name!r} has dimension"
-                                           f" {c.dim}, expected {g.dim - 1}")
-                    comp = shapes.epi_composition(self.shape, k - 1, g.dim - 1,
-                                                  c.generator_dim)
-                    targets[1 + j, :n_sub] = offset[c.generator] + comp[:, epi_rank(c.epi)]
-                blocks.append(targets[face + 1, epi])
-            table = np.concatenate(blocks)
+                gens, faces = self._dimension_plan(m)
+                flat, own, cells, n_sub = _gather_step(self.shape, k, m)
+                targets = np.full((len(gens), 1 + face_arity(self.shape, m),
+                                   max(len(own), n_sub)), -1, np.int32)
+                targets[:, 0, :len(own)] = below.starts[gens, None] + own
+                for c, (row, slot, at, rank) in faces.items():
+                    comp = shapes.epi_composition(self.shape, k - 1, m - 1, c)
+                    targets[row, slot, :n_sub] = below.starts[at, None] + comp[:, rank].T
+                table[layer.starts[gens, None] + cells] = \
+                    targets.reshape(len(gens), -1)[:, flat]
             table.flags.writeable = False
             self._faces_memo[k] = table
         return table
+
+
+@lru_cache(maxsize=None)
+def _gather_step(shape: str, k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The shape's part of the gather of the k-cells over dimension-m
+    generators: the flat index ``(face + 1) * W + epi`` into a generator's
+    ``targets`` rows of width W, from :func:`shapes.face_step`; the ranks
+    of its own (k-1)-cells; the ranks of its k-cells; and the number of
+    epis [k-1] ->> [m-1].  Cached per process, read-only."""
+    face, epi = shapes.face_step(shape, k, m)
+    own = np.arange(count_epis(k - 1, m, shape))
+    n_sub = count_epis(k - 1, m - 1, shape)
+    flat = (face + 1) * max(len(own), n_sub) + epi
+    cells = np.arange(len(face))
+    for a in (flat, own, cells):
+        a.flags.writeable = False
+    return flat, own, cells, n_sub
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +507,9 @@ class CellLayer(Sequence):
     by the canonical epis [k] ->> [dim g] in rank order, the order of
     :func:`shapes.enumerate_epis`.  So a cell's id is ``offset[g]`` plus
     the rank of its epi; ``layer[i]`` builds the one cell with id i, and
-    nothing per cell is stored.  Read-only and built in O(generators).
+    nothing per cell is stored.  ``starts`` holds the offsets again as a
+    read-only array, by declaration position, for the face-table gathers.
+    Read-only and built in O(generators).
     """
 
     def __init__(self, X: SkeletalComplex, k: int):
@@ -454,6 +522,8 @@ class CellLayer(Sequence):
             n += count_epis(k, g.dim, X.shape)
         self._len = n
         self._names, self._starts = list(self.offset), list(self.offset.values())
+        self.starts = np.array(self._starts, np.intp)
+        self.starts.flags.writeable = False
 
     def __len__(self) -> int:
         return self._len

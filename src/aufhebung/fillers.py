@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from . import _kernels
 from .complexes import (
     Cell,
     SkeletalComplex,
-    TabulatedPresheaf,
     TruncationError,
     face_arity,
 )
@@ -476,25 +476,27 @@ def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
     return VerificationReport(X.shape, X.skeletal_level, k_min, upper, levels)
 
 
-def _sphere_literal(tab: TabulatedPresheaf, k: int, row) -> str:
-    return ", ".join(cell_literal(tab.cells[k - 1][int(i)]) for i in row)
-
-
 def _check_level(X, tab, k, budget_spheres) -> LevelReport:
     F2 = tab.faces[k - 1]
     B = tab.faces[k]
     n_cells = B.shape[0]
     if F2.shape[0] == 0:
         return LevelReport(k, n_cells, 0, "vacuous", 0, 0, (), ())
+
+    # witnesses repeat cells, so each distinct cell is formatted once
+    @cache
+    def literal(d: int, i: int) -> str:
+        return cell_literal(tab.cells[d][i])
+
+    def literals(d: int, ids: np.ndarray) -> str:
+        return ", ".join(literal(d, i) for i in ids.tolist())
+
     dup_groups = _kernels.duplicate_row_groups(B)
-    multi = tuple(
-        _sphere_literal(tab, k, B[g[0]])
-        + f" -> {len(g)} fillers: " + ", ".join(cell_literal(tab.cells[k][int(i)])
-                                                for i in g)
-        for g in dup_groups[:WITNESS_CAP])
+    multi = tuple(literals(k - 1, B[g[0]]) + f" -> {len(g)} fillers: " + literals(k, g)
+                  for g in dup_groups[:WITNESS_CAP])
     scan = _kernels.scan_spheres(F2, B, X.shape, k, budget=budget_spheres,
                                  miss_cap=WITNESS_CAP)
-    unfilled = tuple(_sphere_literal(tab, k, row) for row in scan.missing)
+    unfilled = tuple(literals(k - 1, row) for row in scan.missing)
     return LevelReport(k, n_cells, scan.n_spheres,
                        "truncated" if scan.overflow else "exhaustive",
                        scan.n_missing, len(dup_groups), unfilled, multi)

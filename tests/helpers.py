@@ -1,5 +1,5 @@
 """Small readers of the package's results, and the complexes the oracle
-sweeps tabulate, shared by the tests.
+sweeps tabulate and the dense scans read, shared by the tests.
 
 None of this is used by the package.  Spheres are listed by scanning
 against an empty boundary table: every sphere is then unfilled, so the
@@ -10,7 +10,9 @@ import numpy as np
 
 from aufhebung._kernels import build_constraints, scan_spheres
 from aufhebung.bounds import build_counterexample, random_skeletal_complex
+from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex
 from aufhebung.fillers import Sphere
+from aufhebung.shapes import identity
 
 # the bound-table rows whose complexes the oracle sweeps tabulate in full
 TABLE_CASES = [("cubical", n) for n in (0, 1, 2, 3)] \
@@ -22,6 +24,19 @@ def table_complexes(shape, n):
     """The counterexample and three random complexes, at default truncation."""
     return [build_counterexample(shape, n)[0]] + [
         random_skeletal_complex(shape, n, seed) for seed in (1, 2, 3)]
+
+
+# (loops, top level) of the benchmark's dense scans, one vertex with loops
+LOOP_SIZES = {"cubical": (13, 2), "simplicial": (30, 3)}
+
+
+def loops(shape, m, top, extra=()):
+    """One vertex ``v`` with loops ``e0``, ..., ``e(m-1)``, and the 1-skeletal
+    generators ``extra``, truncated at ``top``."""
+    v = Cell("v", identity(shape, 0))
+    return SkeletalComplex(shape, 1, [GeneratorDecl("v", 0, ())] + [
+        GeneratorDecl(f"e{i}", 1, (v, v)) for i in range(m)] + list(extra),
+        truncation=top)
 
 
 def empty_table(shape, k):

@@ -11,6 +11,7 @@ from aufhebung.bounds import (
 )
 from aufhebung.complexes import (
     Cell,
+    ComplexError,
     GeneratorDecl,
     SkeletalComplex,
     TruncationError,
@@ -143,6 +144,31 @@ def test_validate_rejects_a_face_that_is_not_a_cell():
         truncation=3)
     assert [(v_.generator, v_.kind, v_.detail) for v_ in X.validate().violations] == [
         ("f", "reference", "face Cell(e, id) is not a cell of generator 'e'")]
+
+
+V = Cell("v", SimplexMorphism.identity(0))
+E = Cell("e", SimplexMorphism.identity(1))
+
+
+@pytest.mark.parametrize("dim,faces,message", [
+    (1, (V, Cell("w", SimplexMorphism.identity(0))),
+     "face Cell(w, id) of 'x' uses undeclared generator 'w'"),
+    (2, (E, V, E), "face Cell(v, id) of 'x' has dimension 0, expected 1"),
+    (1, (Cell("e", SimplexMorphism.identity(0)), V),
+     "face Cell(e, id) of 'x' is not a cell of generator 'e'"),
+], ids=["undeclared", "wrong-dimension", "not-a-cell"])
+def test_face_tables_refuse_ill_formed_faces(dim, faces, message):
+    # tabulation does not validate: the table of any dimension k at or
+    # above x's gathers its faces, and raises ComplexError (no KeyError)
+    # for each, while the tables below it build
+    X = SkeletalComplex("simplicial", 2, [
+        GeneratorDecl("v", 0, ()), GeneratorDecl("e", 1, (V, V)),
+        GeneratorDecl("x", dim, faces)], truncation=4)
+    for k in range(dim, 5):
+        with pytest.raises(ComplexError) as err:
+            X.tabulate(k)
+        assert str(err.value) == message
+        assert X.tabulate(dim - 1).faces[dim - 1].shape[0] == len(X.cells_of_dim(dim - 1))
 
 
 def test_act_identity_and_functoriality_fuzz():

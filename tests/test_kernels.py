@@ -7,37 +7,29 @@ The two implementations compared here are ``_kernels.scan_spheres`` /
 import hashlib
 import sys
 import threading
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import TABLE_CASES, empty_table, table_complexes
+from helpers import LOOP_SIZES, TABLE_CASES, empty_table, loops, table_complexes
 from reference_scan import reference_prefixes, reference_sample, reference_scan
 
-from aufhebung import _kernels, cli
+from aufhebung import _kernels, cli, fillers
 from aufhebung.bounds import (
     build_cubical_counterexample,
+    certify,
     build_simplicial_counterexample,
     random_skeletal_complex,
 )
-from aufhebung.complexes import Cell, GeneratorDecl, SkeletalComplex
+from aufhebung.complexes import Cell, GeneratorDecl
 from aufhebung.fileio import serialize_complex
-from aufhebung.fillers import coskeletal_up_to
-from aufhebung.shapes import CubeMorphism, SimplexMorphism
+from aufhebung.fillers import cell_literal, coskeletal_up_to
+from aufhebung.shapes import CubeMorphism
 
 SHAPES = ("simplicial", "cubical", "globular", "cyclic")
-
-
-def loops(shape, m, top, extra=()):
-    """One vertex ``v`` with loops ``e0``, ..., ``e(m-1)``, and the 1-skeletal
-    generators ``extra``, truncated at ``top``."""
-    ident = (CubeMorphism if shape == "cubical" else SimplexMorphism).identity(0)
-    v = Cell("v", ident)
-    return SkeletalComplex(shape, 1, [GeneratorDecl("v", 0, ())] + [
-        GeneratorDecl(f"e{i}", 1, (v, v)) for i in range(m)] + list(extra),
-        truncation=top)
 
 
 def assert_same_scan(got, want):
@@ -123,6 +115,54 @@ def test_counted_spheres_skip_the_membership_test():
         scan = _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2)
     assert (scan.n_spheres, scan.n_missing, len(scan.missing)) == (14 ** 4, 14 ** 4 - 27, 16)
     assert 0 < sum(tested) <= 2 * _kernels.BLOCK
+
+
+def counting_calls(names, calls):
+    """Patch the ``_kernels`` functions ``names`` to count their calls in
+    the Counter ``calls``."""
+    def counted(name):
+        f = getattr(_kernels, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    return mock.patch.multiple(_kernels, **{name: counted(name) for name in names})
+
+
+@pytest.mark.parametrize("shape,n", [("cubical", 1), ("cubical", 2), ("simplicial", 3),
+                                     ("globular", 3), ("cyclic", 1)])
+def test_boundary_rows_are_checked_only_over_a_counted_interval(shape, n):
+    # a scan that counts no sphere from its range sizes, as every scan of
+    # a certify-sweep round, neither checks nor deduplicates rows of B;
+    # the dense loop scans count, and do so once per scan
+    calls = Counter()
+    extra = random_skeletal_complex(shape, n, seed=3)
+    with counting_calls(["_sphere_rows", "_n_distinct", "scan_spheres"], calls):
+        assert certify(shape, n, extra_complexes=[extra], seed=3).ok
+    assert calls["scan_spheres"] > 0
+    assert calls["_sphere_rows"] == calls["_n_distinct"] == 0
+    m, top = LOOP_SIZES["cubical"]
+    tab = loops("cubical", m, top).tabulate(top)
+    with counting_calls(["_sphere_rows", "_n_distinct"], calls):
+        _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2)
+    assert calls["_sphere_rows"] == calls["_n_distinct"] == 1
+
+
+@pytest.mark.parametrize("shape", sorted(LOOP_SIZES))
+def test_witness_cells_formatted_once_per_level(shape):
+    # the dense loop reports list 16 witnesses of several faces each over a
+    # few distinct cells; each distinct cell is formatted once per level
+    m, top = LOOP_SIZES[shape]
+    formatted = []
+    with mock.patch.object(fillers, "cell_literal",
+                           side_effect=lambda c: formatted.append(c) or cell_literal(c)):
+        report = coskeletal_up_to(loops(shape, m, top), 1, top)
+    distinct = [{lit for w in lv.unfilled_witnesses + lv.multi_witnesses
+                 for lit in w.replace(" -> ", ", ").split(", ")} for lv in report.levels]
+    assert sum(map(len, distinct)) == len(formatted) < sum(
+        len(w.split(", ")) for lv in report.levels for w in lv.unfilled_witnesses)
 
 
 def test_counted_spheres_against_reference_with_stray_rows():
@@ -377,7 +417,6 @@ LOOP_REPORT_SHA256 = {
     ('simplicial', 29790): '6c51b6d7ad0f4814de1a22eec900ee68579c4135dcf7014f4baa0ed3bd598849',
     ('simplicial', 29791): '26cb037e655e6b07b350e2afb498beecf555bfda326f050ea6d10ae8b5d2965d',
 }
-LOOP_SIZES = {"cubical": (13, 2), "simplicial": (30, 3)}
 
 
 @pytest.mark.parametrize("shape,budget", sorted(LOOP_REPORT_SHA256))

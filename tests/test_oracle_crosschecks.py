@@ -1,18 +1,19 @@
 """Independent cross-checks: presentation identities, table coherence, and
 the sphere kernel against a naive product-filter enumeration."""
 
+import random
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
-from helpers import TABLE_CASES, empty_table, table_complexes
+from helpers import LOOP_SIZES, TABLE_CASES, empty_table, enumerate_spheres, loops, table_complexes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_scan import reference_is_sphere
 from reference_tables import ReferenceTables, act_cycle_violations, act_face_table, face_maps
 
-from aufhebung import _kernels
+from aufhebung import _kernels, complexes
 from aufhebung.bounds import (
     build_counterexample,
     build_cubical_counterexample,
@@ -31,6 +32,7 @@ from aufhebung.shapes import (
     enumerate_epis,
     enumerate_monos,
     epi_composition,
+    epi_rank,
     face_step,
     identity,
 )
@@ -70,6 +72,94 @@ def test_face_tables_match_act_oracle(shape, n):
             want = act_face_table(X, k)
             assert got.dtype == want.dtype == np.int32
             assert got.shape == want.shape and np.array_equal(got, want), (shape, n, k)
+
+
+def assert_tables_match_act_oracle(X):
+    """Every face table of ``X`` up to its truncation is read-only int32
+    and equals the act oracle's."""
+    for k, got in enumerate(X.tabulate(X.truncation).faces):
+        want = act_face_table(X, k)
+        assert got.dtype == want.dtype == np.int32 and not got.flags.writeable
+        assert got.shape == want.shape and np.array_equal(got, want), (X.shape, k)
+
+
+@pytest.mark.parametrize("shape", sorted(LOOP_SIZES))
+def test_face_tables_match_act_oracle_on_dense_loops(shape):
+    assert_tables_match_act_oracle(loops(shape, *LOOP_SIZES[shape]))
+
+
+def interleaved(Xs, seed):
+    """The disjoint union of the complexes ``Xs``, its generators declared
+    in a seeded order in which each follows those its faces name and
+    changes dimension from the one before wherever it can."""
+    left = [GeneratorDecl(f"{i}{g.name}", g.dim,
+                          tuple(Cell(f"{i}{c.generator}", c.epi) for c in g.faces))
+            for i, X in enumerate(Xs) for g in X.generators.values()]
+    rng, placed, order = random.Random(seed), set(), []
+    while left:
+        ready = [g for g in left if {c.generator for c in g.faces} <= placed]
+        g = rng.choice([g for g in ready if order and g.dim != order[-1].dim] or ready)
+        left.remove(g)
+        placed.add(g.name)
+        order.append(g)
+    X = Xs[0]
+    return SkeletalComplex(X.shape, X.skeletal_level, order, X.truncation)
+
+
+@pytest.mark.parametrize("shape,n", [("cubical", 2), ("simplicial", 3),
+                                     ("globular", 3), ("cyclic", 2)])
+def test_face_tables_match_act_oracle_out_of_dimension_order(shape, n):
+    # the generators of one dimension are not declared together, so their
+    # rows of a face table are not contiguous
+    for seed in (1, 2, 3):
+        X = interleaved([random_skeletal_complex(shape, n, seed),
+                         build_counterexample(shape, n)[0]], seed)
+        dims = [g.dim for g in X.generators.values()]
+        runs = 1 + sum(a != b for a, b in zip(dims, dims[1:]))
+        assert runs > len(set(dims)) and X.validate().ok
+        assert_tables_match_act_oracle(X)
+
+
+def mixed_faces(shape):
+    """A vertex v, a loop e at v, then a 2- and a 3-generator, each attached
+    to the first sphere whose faces lie over generators of the most
+    distinct dimensions, so that some faces are degenerate."""
+    v = Cell("v", identity(shape, 0))
+    gens = [GeneratorDecl("v", 0, ()),
+            GeneratorDecl("e", 1, (v,) * face_arity(shape, 1))]
+    for d in (2, 3):
+        spheres = enumerate_spheres(SkeletalComplex(shape, d - 1, gens, truncation=d), d)
+        faces = max(spheres, key=lambda s: len({c.generator for c in s.faces})).faces
+        gens.append(GeneratorDecl(f"t{d}", d, faces))
+    return SkeletalComplex(shape, 3, gens, truncation=6)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_face_tables_match_act_oracle_on_mixed_faces(shape):
+    # t2 has faces over generators of dimensions 0 and 1, and t3 over all
+    # three lower dimensions, except globular t3: a globular 3-sphere is a
+    # parallel pair, so it repeats one generator
+    X = mixed_faces(shape)
+    assert X.validate().ok
+    spans = [len({c.generator_dim for c in X.generators[t].faces}) for t in ("t2", "t3")]
+    assert spans == [2, 1 if shape == "globular" else 3]
+    assert_tables_match_act_oracle(X)
+
+
+@pytest.mark.parametrize("shape,n", TABLE_CASES)
+def test_tabulation_ranks_each_generator_face_once(shape, n, monkeypatch):
+    # a complex ranks each generator face's epi once, however many
+    # dimensions it tabulates, and never again
+    ranked = []
+    monkeypatch.setattr(complexes, "epi_rank",
+                        lambda f: ranked.append(f) or epi_rank(f))
+    for X in table_complexes(shape, n) + [mixed_faces(shape)]:
+        X = SkeletalComplex(X.shape, X.skeletal_level, X.generators.values(), X.truncation)
+        ranked.clear()
+        X.tabulate(X.truncation)
+        X.tabulate(X.truncation)
+        assert sorted(map(repr, ranked)) == sorted(
+            repr(c.epi) for g in X.generators.values() for c in g.faces)
 
 
 @pytest.mark.parametrize("shape,n", TABLE_CASES)
