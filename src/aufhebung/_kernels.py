@@ -32,7 +32,7 @@ that extends a frontier of partial spheres slot by slot:
 * once that merge holds its full count and the next sphere sorts after
   all it holds, no later sphere can enter it, so each remaining block of
   complete spheres is counted from its range sizes without being built;
-  the unfilled count is then the sphere count less the number of
+  the unfilled count of those is their number less the number of
   distinct boundary rows that are counted spheres.
 
 Fillers are rows of the dimension-k face table, so existence is a sorted
@@ -344,11 +344,13 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     missing, which lists the spheres themselves.
 
     Complete spheres are materialised and looked up in ``B`` only while
-    they can still enter ``missing``; after that, each last-slot block of
-    the frontier is counted from its range sizes.  ``n_missing`` is the
-    number of counted spheres less the number of distinct rows of ``B``
-    that are counted spheres: rows that meet the cycle equations and, on
-    overflow, sort before the first uncounted sphere.
+    they can still enter ``missing``, and their misses are counted as
+    they are found; after that, each last-slot block of the frontier is
+    counted from its range sizes.  Those counted spheres run, in planned
+    order, from the first of them to the first uncounted sphere or the
+    end, so their misses are their number less the number of distinct
+    rows of ``B`` in that interval that meet the cycle equations.  A scan
+    that counts none checks no row of ``B`` against the equations.
     """
     require_positive(budget=budget)
     if miss_cap < 0:
@@ -365,7 +367,7 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     agree = next((p for p, t in enumerate(order) if p != t), slots)
     width = min(agree, slots - 1)
     kept = np.zeros((0, slots), dtype=np.int32)
-    n_sph = n_miss = n_counted = 0
+    n_sph = n_miss = 0
     start = None     # the first sphere counted from range sizes
     first = None     # the first uncounted sphere, on overflow
     root = np.zeros((1, 0), dtype=np.int32)
@@ -380,12 +382,12 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
             if not miss_cap or tuple(P[0, :width]) > tuple(kept[-1, :width]):
                 if start is None:
                     start = np.append(P[0], index.cells(top.d, pos))
+                    n_built = n_sph
                 stack.pop()
                 left = budget - n_sph
                 if top.size - top.pos > left:
                     P, pos = top.pairs(np.array([top.pos + left]))
                     first = np.append(P[0], index.cells(top.d, pos))
-                n_counted += min(top.size - top.pos, left)
                 n_sph += min(top.size - top.pos, left)
                 continue
         P, pos = top.take(BLOCK)
@@ -426,7 +428,7 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
         if first is not None:
             filled = filled[_lex_lt(filled, first)]
         filled = filled[_sphere_rows(index.F2, shape, k, filled)]
-        n_miss += n_counted - _n_distinct(filled)
+        n_miss += n_sph - n_built - _n_distinct(filled)
     return SphereScan(n_spheres=n_sph, n_missing=n_miss,
                       missing=kept, overflow=first is not None)
 

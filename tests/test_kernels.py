@@ -20,8 +20,8 @@ from reference_scan import reference_prefixes, reference_sample, reference_scan
 from aufhebung import _kernels, cli, fillers
 from aufhebung.bounds import (
     build_cubical_counterexample,
-    certify,
     build_simplicial_counterexample,
+    certify,
     random_skeletal_complex,
 )
 from aufhebung.complexes import Cell, GeneratorDecl
@@ -152,17 +152,18 @@ def test_boundary_rows_are_checked_only_over_a_counted_interval(shape, n):
 
 @pytest.mark.parametrize("shape", sorted(LOOP_SIZES))
 def test_witness_cells_formatted_once_per_level(shape):
-    # the dense loop reports list 16 witnesses of several faces each over a
-    # few distinct cells; each distinct cell is formatted once per level
+    # the dense loop reports list unfilled witnesses of several faces each
+    # over a few distinct cells, and no multi-filled one; each distinct
+    # cell is formatted once per level
     m, top = LOOP_SIZES[shape]
     formatted = []
     with mock.patch.object(fillers, "cell_literal",
                            side_effect=lambda c: formatted.append(c) or cell_literal(c)):
         report = coskeletal_up_to(loops(shape, m, top), 1, top)
-    distinct = [{lit for w in lv.unfilled_witnesses + lv.multi_witnesses
-                 for lit in w.replace(" -> ", ", ").split(", ")} for lv in report.levels]
-    assert sum(map(len, distinct)) == len(formatted) < sum(
-        len(w.split(", ")) for lv in report.levels for w in lv.unfilled_witnesses)
+    literals = [[w.split(", ") for w in lv.unfilled_witnesses] for lv in report.levels]
+    assert not any(lv.multi_witnesses for lv in report.levels)
+    distinct = sum(len({c for w in lv for c in w}) for lv in literals)
+    assert distinct == len(formatted) < sum(len(w) for lv in literals for w in lv)
 
 
 def test_counted_spheres_against_reference_with_stray_rows():
