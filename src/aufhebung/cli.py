@@ -9,12 +9,17 @@ Exit codes: 0 the claim holds / the sphere is filled; 1 a counterexample
 was found / the sphere has no filler; 2 usage or input error, or an
 exceeded cell budget; 3 inconclusive: a sphere budget ran out before any
 counterexample was found.  A resource limit never exits 1.  Outputs are
-pure functions of (arguments, input files, seed).
+pure functions of (arguments, input files, seed).  A usage error prints
+one ``error: ...`` line on stderr.
+
+``main`` parses with one parser per process, built by ``build_parser`` on
+the first call and reused by every later one; parsing never mutates it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bounds, complexes, fileio, fillers, shapes
@@ -23,12 +28,20 @@ from . import bounds, complexes, fileio, fillers, shapes
 EXIT_CODES = {True: 0, False: 1, None: 3}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line; the subparsers
+    that ``add_subparsers`` makes are of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _shape_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", required=True, choices=shapes.SHAPES)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="aufhebung",
         description="exact skeleton/coskeleton calculations on finitely"
                     " presented complexes")
@@ -65,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shape_arg(p)
     p.add_argument("--n", type=int, required=True, help="skeletal level")
     p.add_argument("--seeds", type=int, default=0,
-                   help="number of extra random complexes")
+                   help="number of extra random complexes (not negative)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truncate", type=int, default=None)
     p.add_argument("--budget-spheres", type=int, default=10 ** 6)
@@ -150,6 +163,8 @@ def cmd_coskeletal(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds < 0:
+        raise ValueError(f"--seeds must not be negative, got {args.seeds}")
     extras = [bounds.random_skeletal_complex(args.shape, args.n,
                                              seed=args.seed + i,
                                              truncation=args.truncate)
@@ -188,10 +203,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use, never at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

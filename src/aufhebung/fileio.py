@@ -104,16 +104,21 @@ def parse_complex(text: str) -> SkeletalComplex:
     if truncate is not None and truncate < skeletal:
         raise ParseError(truncate_line, f"truncation {truncate} is below the"
                                         f" skeletal level {skeletal}")
-    # a face may name only the generators declared above it
+    # a face may name only the generators declared above it; declarations
+    # only add generators, so a literal that parsed once parses to the same
+    # cell at every later line, and a failing one raises at its first line
     gens: dict[str, GeneratorDecl] = {}
+    cells: dict[str, Cell] = {}
     for lineno, name, dim, face_literals in raw_gens:
         arity = face_arity(shape, dim)
         if len(face_literals) != arity:
             raise ParseError(lineno,
                              f"generator {name!r} of dimension {dim} needs"
                              f" {arity} faces, got {len(face_literals)}")
-        faces = tuple(_parse_cell(shape, gens, lit, lineno) for lit in face_literals)
-        gens[name] = GeneratorDecl(name, dim, faces)
+        for lit in face_literals:
+            if lit not in cells:
+                cells[lit] = _parse_cell(shape, gens, lit, lineno)
+        gens[name] = GeneratorDecl(name, dim, tuple(cells[lit] for lit in face_literals))
     return SkeletalComplex(shape, skeletal, gens.values(), truncation=truncate)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from aufhebung import cli
 from aufhebung.cli import main
 
 
@@ -129,12 +130,20 @@ def test_outputs_deterministic(capsys):
 
 
 def test_usage_error_exit_2(capsys):
-    assert main(["fill"]) == 2
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()  # drop the argparse usage text
-    code, _, err = run(capsys, "validate", "/nonexistent/file.complex")
-    assert code == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for argv in (["fill"], ["frobnicate"],
+                 ["verify", "--shape", "cubical", "--n", "x"],
+                 ["validate", "/nonexistent/file.complex"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_exit_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: aufhebung") and "counterexample" in out
+    code, out, err = run(capsys, "verify", "--help")
+    assert code == 0 and err == "" and "--seeds SEEDS" in out
 
 
 def test_normalize_globular_and_cyclic(capsys):
@@ -232,17 +241,18 @@ def test_coskeletal_inconclusive_exit_3(tmp_path, capsys):
     ["coskeletal", "{path}", "--from", "-3", "--to", "2"],
     ["verify", "--shape", "cubical", "--n", "1", "--truncate", "2"],
     ["verify", "--shape", "globular", "--n", "1", "--truncate", "2"],
+    ["verify", "--shape", "cubical", "--n", "1", "--seeds", "-1"],
 ])
 def test_refused_arguments_exit_2(tmp_path, capsys, argv):
-    # a removed option, a negative window start, and a truncation that
-    # leaves no level above the claimed bound
+    # a removed option, a negative window start, a truncation that leaves
+    # no level above the claimed bound, and a negative number of complexes
     path = tmp_path / "ce.complex"
     run(capsys, "counterexample", "--shape", "cubical", "--n", "1",
         "--out", str(path))
     code, out, err = run(capsys, *[a.format(path=path) for a in argv])
     assert code == 2 and out == ""
-    if "--seed" not in argv:
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "--seeds" in err or "--seeds" not in argv
 
 
 @pytest.mark.parametrize("k_min,upper", [("5", "3"), ("3", "3")])
@@ -307,3 +317,72 @@ def test_invalid_complex_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.format(path=path) for a in argv])
     assert code == 2 and out == ""
     assert err == "error: invalid complex [x] cycle: c_2 d_0 != c_0 d_1\n"
+
+
+def _reuse_commands(tmp_path):
+    """Valid commands, usage errors, --help and refused arguments, over
+    every subcommand."""
+    path = tmp_path / "ce.complex"
+    assert main(["counterexample", "--shape", "cubical", "--n", "1",
+                 "--out", str(path)]) == 0
+    f = str(path)
+    return [
+        ["normalize", "--shape", "simplicial", "--dom", "3", "s1 s0"],
+        ["verify", "--shape", "cubical", "--n", "x"],
+        ["validate", f],
+        ["--help"],
+        ["fill", f, "x, x, y, y"],
+        ["fill"],
+        ["fill", f, "x, x, v[b1], v[b1]", "--trace"],
+        ["verify", "--shape", "cubical", "--n", "1", "--seeds", "-1"],
+        ["coskeletal", f, "--from", "1", "--to", "4"],
+        ["frobnicate"],
+        ["verify", "--shape", "cubical", "--n", "1", "--seeds", "1"],
+        ["coskeletal", f, "--from", "1", "--to", "2", "--seed", "1"],
+        ["counterexample", "--shape", "globular", "--n", "1"],
+        ["verify", "--help"],
+        ["normalize", "--shape", "cubical", "b1 a0@1"],
+        ["validate", "/nonexistent/file.complex"],
+        ["coskeletal", f, "--from", "2", "--to", "4"],
+        ["counterexample", "--shape", "cubical", "--n", "1"],
+        ["normalize", "--shape", "simplicial", "--dom", "0", "s1"],
+        ["verify", "--shape", "globular", "--n", "1", "--seed", "5"],
+    ]
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    commands = _reuse_commands(tmp_path)
+    assert len(commands) == 20
+    assert {a[0] for a in commands} >= set(cli._HANDLERS)
+    builds, inits = [], []
+    build, init = cli.build_parser, cli.argparse.ArgumentParser.__init__
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted_init)
+    cli._parser.cache_clear()
+    for argv in commands:
+        main(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert len(inits) == 1 + len(cli._HANDLERS)  # the parser and its subparsers
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    # a failed parse or --help leaves nothing behind for the next command
+    commands = _reuse_commands(tmp_path)
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in commands]
+    assert {r[0] for r in fresh} == {0, 1, 2}
+    forward = [run(capsys, *argv) for argv in commands]
+    backward = [run(capsys, *argv) for argv in reversed(commands)]
+    assert forward == fresh and backward[::-1] == fresh

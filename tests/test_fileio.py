@@ -58,6 +58,32 @@ def test_parse_builds_a_bounded_number_of_complexes(monkeypatch):
     assert counts == [1, 1, 1]
 
 
+def test_each_distinct_literal_parsed_once(monkeypatch):
+    import aufhebung.fileio as fileio
+    from aufhebung.complexes import make_cell
+    made = []
+
+    def counted(shape, gen, word):
+        made.append((gen.name, word))
+        return make_cell(shape, gen, word)
+
+    monkeypatch.setattr(fileio, "make_cell", counted)
+    text = serialize_complex(build_counterexample("cubical", 2)[0])
+    literals = [lit for line in text.splitlines() if " faces " in line
+                for lit in line.split(" faces ")[1].split()]
+    X = parse_complex(text)
+    assert len(made) == len(set(literals)) < len(literals)
+    monkeypatch.undo()
+    assert X.generators == parse_complex(text).generators
+
+
+def test_repeated_bad_literal_rejected_at_first_line():
+    bad = CUBICAL + "gen z dim 1 faces v v[b9]\ngen w dim 1 faces v[b9] v\n"
+    with pytest.raises(ParseError) as err:
+        parse_complex(bad)
+    assert err.value.line == 8
+
+
 def test_round_trip_all_builders():
     for shape, n in (("cubical", 0), ("cubical", 1), ("cubical", 2),
                      ("simplicial", 0), ("simplicial", 1), ("simplicial", 2),
