@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shape_arg(p)
     p.add_argument("--n", type=int, required=True, help="skeletal level")
     p.add_argument("--seeds", type=int, default=0,
-                   help="number of extra random complexes (not negative)")
+                   help="number of extra random complexes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truncate", type=int, default=None)
     p.add_argument("--budget-spheres", type=int, default=10 ** 6)
