@@ -44,7 +44,6 @@ from .shapes import (
     identity,
     normalize,
     sections_of,
-    underlying_simplex_morphism,
 )
 
 __version__ = "0.1.0"
@@ -63,5 +62,5 @@ __all__ = [
     "format_morphism", "identity", "is_sphere",
     "load_complex", "make_sphere", "normalize", "parse_complex", "parse_sphere", "random_skeletal_complex",
     "save_complex", "sections_of", "serialize_complex", "sphere_profile",
-    "underlying_simplex_morphism", "underlying_simplicial",
+    "underlying_simplicial",
 ]

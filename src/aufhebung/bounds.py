@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -259,6 +260,8 @@ def underlying_simplicial(X: SkeletalComplex) -> tuple[SkeletalComplex, dict]:
     if X.shape != "cyclic":
         raise ValueError("underlying_simplicial applies to cyclic complexes")
 
+    # the faces of the rotations and wrap-around cells repeat one another
+    @cache
     def translate(cell: Cell) -> Cell:
         core, epi = simplicial_core(X, cell)
         return Cell(_core_name(core), epi)

@@ -21,8 +21,10 @@ own.
 
 The contravariant action :meth:`SkeletalComplex.act` serves what the face
 tables do not hold: degeneracies and sections.  It composes the morphism
-into the cell's epimorphism, splits off the mono part, and pushes the mono
-into the generator's attaching data recursively.
+into the cell's epimorphism and splits off the mono part; the mono is a
+walk through the face tables from the generator's own cell, one read per
+elementary face, and the epi part composes into the epi of the cell it
+reaches.
 """
 
 from __future__ import annotations
@@ -148,11 +150,10 @@ class SkeletalComplex:
     """An n-skeletal presheaf presented by generators and attaching data.
 
     Immutable after construction; all queries are pure, so instances are
-    safe to share across worker threads.  Actions and, per dimension, the
-    cell layer, the read-only face table of the cells and the gather plan
-    of the generators are memoised; a memo entry is computed from
-    immutable data, so two threads that race on one entry store equal
-    values.
+    safe to share across worker threads.  Per dimension, the cell layer,
+    the read-only face table of the cells and the gather plan of the
+    generators are memoised; a memo entry is computed from immutable data,
+    so two threads that race on one entry store equal values.
     """
 
     def __init__(self, shape: str, skeletal_level: int, generators,
@@ -176,7 +177,6 @@ class SkeletalComplex:
         if truncation < skeletal_level:
             raise ComplexError("truncation below skeletal level")
         self.truncation = truncation
-        self._act_memo: dict[tuple[Cell, ShapeMorphism], Cell] = {}
         self._layers: dict[int, CellLayer] = {}
         self._faces_memo: dict[int, np.ndarray] = {}
         self._plans: dict[int, tuple[np.ndarray, dict]] = {}
@@ -275,7 +275,14 @@ class SkeletalComplex:
     # -- the contravariant action ----------------------------------------------
 
     def act(self, cell: Cell, f: ShapeMorphism) -> Cell:
-        """The action cell . f, computed in decomposed normal form."""
+        """The action cell . f, computed in decomposed normal form.
+
+        The composite of the cell's epi with f factors as mono . epi.  The
+        mono's elementary faces walk the face tables down from the
+        generator's own cell, outermost face first, one read each; the epi
+        then composes into the epi of the cell reached.  An epi reads no
+        table.
+        """
         if f.cod != cell.dim:
             raise ComplexError(
                 f"morphism lands in dimension {f.cod}, cell has dimension"
@@ -284,50 +291,18 @@ class SkeletalComplex:
             raise TruncationError(
                 f"action result dimension {f.dom} exceeds truncation"
                 f" {self.truncation}")
-        key = (cell, f)
-        hit = self._act_memo.get(key)
-        if hit is not None:
-            return hit
-        composite = compose(cell.epi, f)
-        mono, epi = epi_mono_factor(composite)
-        base = self._act_mono(cell.generator, mono)
-        out = Cell(base.generator, compose(base.epi, epi))
-        self._act_memo[key] = out
-        return out
-
-    def _act_mono(self, name: str, mono: ShapeMorphism) -> Cell:
-        """Push a monomorphism into a generator's attaching data."""
-        decl = self.generators[name]
-        if self.shape == "cyclic":
-            rot = mono.rotation
-            plain = mono.delta_part
-            if plain.is_identity:
-                return Cell(name, CyclicMorphism.rotation_map(decl.dim, rot))
-            i = plain.monos[0]
-            rest = SimplexMorphism(plain.dom, plain.cod - 1, plain.monos[1:], ())
-            face = decl.faces[i]
-            inner = CyclicMorphism.from_simplex(rest)
-            tail = self.act(face, inner) if not rest.is_identity else face
-            if rot:
-                return self.act(tail, CyclicMorphism.rotation_map(tail.dim, rot))
-            return tail
-        if mono.is_identity:
-            return Cell(name, identity(self.shape, decl.dim))
-        if self.shape == "simplicial":
-            i = mono.monos[0]
-            rest = SimplexMorphism(mono.dom, mono.cod - 1, mono.monos[1:], ())
-            face = decl.faces[i]
-        elif self.shape == "cubical":
-            pos, sign = mono.inserts[0]
-            rest = CubeMorphism(mono.dom, mono.cod - 1, mono.inserts[1:], ())
-            face = decl.faces[2 * (pos - 1) + sign]
-        else:  # globular
-            outer = mono.word[0]
-            rest = GlobeMorphism(mono.dom, mono.cod - 1, mono.word[1:])
-            face = decl.faces[0 if outer == "sig" else 1]
-        if rest.is_identity:
-            return face
-        return self.act(face, rest)
+        mono, epi = epi_mono_factor(compose(cell.epi, f))
+        columns = _face_columns(mono)
+        if not columns:
+            return Cell(cell.generator, epi)
+        k = mono.cod
+        # the generator's own cell has the identity epi, of rank 0
+        i = self.cells_of_dim(k).offset[cell.generator]
+        for col in columns:
+            i = self._face_table(k)[i, col]
+            k -= 1
+        base = self.cells_of_dim(k)[i]
+        return Cell(base.generator, compose(base.epi, epi))
 
     # -- degeneracy calculus ----------------------------------------------------
 
@@ -414,15 +389,20 @@ class SkeletalComplex:
         of a generator that their faces name to four index arrays, one
         entry per such face: the generator's row in ``gens``, the face's
         slot row 1 + j, the face generator's position and the rank of the
-        face's epi onto [c].  A face that is not an (m-1)-cell of a declared
-        generator raises :class:`ComplexError`, so no plan is kept for
-        ill-formed attaching data.
+        face's epi onto [c].  A generator with the wrong number of faces,
+        or a face that is not an (m-1)-cell of a declared generator, raises
+        :class:`ComplexError`, so no plan is kept for ill-formed attaching
+        data.
         """
         plan = self._plans.get(m)
         if plan is None:
             gens: list[int] = []
             faces: dict[int, list[tuple[int, int, int, int]]] = {}
+            arity = face_arity(self.shape, m)
             for g in self._by_dim[m]:
+                if len(g.faces) != arity:
+                    raise ComplexError(f"{g.name!r} has {len(g.faces)} faces,"
+                                       f" expected {arity}")
                 for j, c in enumerate(g.faces):
                     if c.dim != m - 1:
                         raise ComplexError(f"face {c!r} of {g.name!r} has dimension"
@@ -477,6 +457,20 @@ class SkeletalComplex:
             table.flags.writeable = False
             self._faces_memo[k] = table
         return table
+
+
+def _face_columns(mono: ShapeMorphism) -> list[int]:
+    """The face-table columns of a mono's elementary faces, outermost
+    first: i per d_i, 2(pos - 1) + sign per cubical insert, 0 per sig and
+    1 per tau.  The mono of :func:`shapes.epi_mono_factor` carries no
+    rotation, so a cyclic mono is its monotone part."""
+    if isinstance(mono, CyclicMorphism):
+        mono = mono.delta_part
+    if isinstance(mono, SimplexMorphism):
+        return list(mono.monos)
+    if isinstance(mono, CubeMorphism):
+        return [2 * (pos - 1) + sign for pos, sign in mono.inserts]
+    return [0 if g == "sig" else 1 for g in mono.word]
 
 
 @lru_cache(maxsize=None)

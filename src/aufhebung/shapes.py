@@ -780,13 +780,6 @@ def sections_of(epi: ShapeMorphism) -> list[ShapeMorphism]:
             if compose(epi, mu) == ident]
 
 
-def underlying_simplex_morphism(f: CyclicMorphism) -> SimplexMorphism:
-    """The monotone part of the unique (rotation, monotone) factorisation."""
-    if not isinstance(f, CyclicMorphism):
-        raise ShapeError("underlying_simplex_morphism takes a cyclic morphism")
-    return f.delta_part
-
-
 # ---------------------------------------------------------------------------
 # integer epi tables
 #

@@ -2,12 +2,15 @@
 
 The package tabulates face tables only, the input of the sphere scan, and
 gathers them from the shape's integer face-step and epi-composition
-tables.  :func:`face_maps` lists the elementary face maps in sphere slot
-order, :func:`act_face_table` builds the same table the direct way, by
-acting on every cell with every elementary face map, and
-:func:`act_cycle_violations` evaluates the cycle equations the same way.
-:class:`ReferenceTables` adds, from ``X.act`` and ``X.degeneracy_maps``,
-the elementary degeneracy tables and, for cyclic complexes, the basic
+tables.  :func:`reference_act` is the cell action that reads the
+generators' attaching data and no table: it pushes the mono part of a
+morphism into the attaching data recursively.  :func:`face_maps` lists
+the elementary face maps in sphere slot order, :func:`act_face_table`
+builds the same table the direct way, by acting on every cell with every
+elementary face map, and :func:`act_cycle_violations` evaluates the cycle
+equations the same way.  :class:`ReferenceTables` adds, from
+:func:`reference_act` and ``X.degeneracy_maps``, the elementary
+degeneracy tables and, for cyclic complexes, the basic
 rotation of each layer.  On those tables it checks every defining relation
 of the shape category and recovers Eilenberg-Zilber decompositions by
 exhaustive search, independently of the structural representation the
@@ -17,15 +20,71 @@ package uses.  It is not used by the package.
 import numpy as np
 
 from aufhebung._kernels import build_constraints
-from aufhebung.complexes import ComplexError
+from aufhebung.complexes import Cell, ComplexError, TruncationError
 from aufhebung.shapes import (
     CubeMorphism,
     CyclicMorphism,
     GlobeMorphism,
     ShapeMorphism,
     SimplexMorphism,
+    compose,
     enumerate_epis,
+    epi_mono_factor,
+    identity,
 )
+
+
+def reference_act(X, cell: Cell, f: ShapeMorphism) -> Cell:
+    """``X.act(cell, f)`` without the face tables: the composite of the
+    cell's epi with f factors as mono . epi, and the mono is pushed into
+    the generator's attaching data recursively."""
+    if f.cod != cell.dim:
+        raise ComplexError(
+            f"morphism lands in dimension {f.cod}, cell has dimension"
+            f" {cell.dim}")
+    if f.dom > X.truncation:
+        raise TruncationError(
+            f"action result dimension {f.dom} exceeds truncation"
+            f" {X.truncation}")
+    composite = compose(cell.epi, f)
+    mono, epi = epi_mono_factor(composite)
+    base = _act_mono(X, cell.generator, mono)
+    return Cell(base.generator, compose(base.epi, epi))
+
+
+def _act_mono(X, name: str, mono: ShapeMorphism) -> Cell:
+    """Push a monomorphism into a generator's attaching data."""
+    decl = X.generators[name]
+    if X.shape == "cyclic":
+        rot = mono.rotation
+        plain = mono.delta_part
+        if plain.is_identity:
+            return Cell(name, CyclicMorphism.rotation_map(decl.dim, rot))
+        i = plain.monos[0]
+        rest = SimplexMorphism(plain.dom, plain.cod - 1, plain.monos[1:], ())
+        face = decl.faces[i]
+        inner = CyclicMorphism.from_simplex(rest)
+        tail = reference_act(X, face, inner) if not rest.is_identity else face
+        if rot:
+            return reference_act(X, tail, CyclicMorphism.rotation_map(tail.dim, rot))
+        return tail
+    if mono.is_identity:
+        return Cell(name, identity(X.shape, decl.dim))
+    if X.shape == "simplicial":
+        i = mono.monos[0]
+        rest = SimplexMorphism(mono.dom, mono.cod - 1, mono.monos[1:], ())
+        face = decl.faces[i]
+    elif X.shape == "cubical":
+        pos, sign = mono.inserts[0]
+        rest = CubeMorphism(mono.dom, mono.cod - 1, mono.inserts[1:], ())
+        face = decl.faces[2 * (pos - 1) + sign]
+    else:  # globular
+        outer = mono.word[0]
+        rest = GlobeMorphism(mono.dom, mono.cod - 1, mono.word[1:])
+        face = decl.faces[0 if outer == "sig" else 1]
+    if rest.is_identity:
+        return face
+    return reference_act(X, face, rest)
 
 
 def face_maps(X, k) -> list[ShapeMorphism]:
@@ -45,22 +104,23 @@ def face_maps(X, k) -> list[ShapeMorphism]:
 
 
 def act_face_table(X, k):
-    """The int32 face table of the k-cells of ``X``, built through ``X.act``."""
+    """The int32 face table of the k-cells of ``X``, built through
+    :func:`reference_act`."""
     layer = X.cells_of_dim(k)
     fmaps = face_maps(X, k) if k >= 1 else []
     below = {c: j for j, c in enumerate(X.cells_of_dim(k - 1))}
-    return np.array([[below[X.act(c, fm)] for fm in fmaps] for c in layer],
+    return np.array([[below[reference_act(X, c, fm)] for fm in fmaps] for c in layer],
                     dtype=np.int32).reshape(len(layer), len(fmaps))
 
 
 def act_cycle_violations(X, faces, k):
-    """``X.cycle_violations(faces, k)`` through ``X.act``: each broken
-    equation of ``build_constraints`` found by acting on the faces with the
-    elementary face maps of dimension k - 1."""
+    """``X.cycle_violations(faces, k)`` through :func:`reference_act`: each
+    broken equation of ``build_constraints`` found by acting on the faces
+    with the elementary face maps of dimension k - 1."""
     fmaps = face_maps(X, k - 1) if k >= 2 else []
     for new, row in enumerate(build_constraints(X.shape, k)):
         for prev, a, b in row:
-            if X.act(faces[new], fmaps[a]) != X.act(faces[prev], fmaps[b]):
+            if reference_act(X, faces[new], fmaps[a]) != reference_act(X, faces[prev], fmaps[b]):
                 yield f"c_{new} d_{a} != c_{prev} d_{b}"
 
 
@@ -80,7 +140,8 @@ class ReferenceTables:
         self.rotations: list[np.ndarray] = []
 
         def table(layer, maps):
-            return np.array([[tab.cells[f.dom].index(X.act(c, f)) for f in maps] for c in layer],
+            return np.array([[tab.cells[f.dom].index(reference_act(X, c, f)) for f in maps]
+                             for c in layer],
                             dtype=np.int32).reshape(len(layer), len(maps))
 
         for k, layer in enumerate(tab.cells):

@@ -131,6 +131,20 @@ def test_validate_skips_cycle_equations_above_an_unsound_generator():
         ("s", "cycle", why) for why in broken]
 
 
+def test_act_through_a_bad_face_raises_and_an_epi_does_not():
+    # f names the 1-cell e as a face, so no face table that holds f can be
+    # gathered: a face walk through f or above it raises, while an epi,
+    # which reads no table, still gives the degenerate copy
+    from aufhebung.fileio import parse_complex
+    X = parse_complex(BAD_FACE_DIMENSION)
+    for name in ("f", "t"):
+        cell = X.generator_cell(name)
+        with pytest.raises(ComplexError):
+            X.act(cell, SimplexMorphism.face(0, cell.dim))
+        s0 = SimplexMorphism.degeneracy(0, cell.dim + 1)
+        assert X.act(cell, s0) == Cell(name, s0)
+
+
 def test_validate_rejects_a_face_that_is_not_a_cell():
     # f's first face names the 1-cell e by a 0-dimensional epi; the face
     # table could not gather it
@@ -156,11 +170,14 @@ E = Cell("e", SimplexMorphism.identity(1))
     (2, (E, V, E), "face Cell(v, id) of 'x' has dimension 0, expected 1"),
     (1, (Cell("e", SimplexMorphism.identity(0)), V),
      "face Cell(e, id) of 'x' is not a cell of generator 'e'"),
-], ids=["undeclared", "wrong-dimension", "not-a-cell"])
+    (2, (E, E), "'x' has 2 faces, expected 3"),
+    (1, (V, V, V), "'x' has 3 faces, expected 2"),
+], ids=["undeclared", "wrong-dimension", "not-a-cell", "too-few", "too-many"])
 def test_face_tables_refuse_ill_formed_faces(dim, faces, message):
     # tabulation does not validate: the table of any dimension k at or
-    # above x's gathers its faces, and raises ComplexError (no KeyError)
-    # for each, while the tables below it build
+    # above x's gathers its faces, and raises ComplexError (no KeyError,
+    # and no table with a slot left unfilled) for each, while the tables
+    # below it build
     X = SkeletalComplex("simplicial", 2, [
         GeneratorDecl("v", 0, ()), GeneratorDecl("e", 1, (V, V)),
         GeneratorDecl("x", dim, faces)], truncation=4)

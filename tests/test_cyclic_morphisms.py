@@ -169,11 +169,11 @@ def test_format_round_trip():
 
 
 def test_underlying_simplex_morphism():
-    from aufhebung.shapes import underlying_simplex_morphism
+    # the monotone part of the unique (rotation, monotone) factorisation
     f = normalize("cyclic", "d1 s0 s2", dom=4)
     assert f.rotation == 0
-    assert underlying_simplex_morphism(f) == normalize("simplicial", "d1 s0 s2", dom=4)
+    assert f.delta_part == normalize("simplicial", "d1 s0 s2", dom=4)
     # the wrap-around degeneracy followed by d0 is a pure rotation
     g = normalize("cyclic", "s3x d0", dom=2)
     assert g.rotation == 1
-    assert underlying_simplex_morphism(g).is_identity
+    assert g.delta_part.is_identity

@@ -11,7 +11,13 @@ from helpers import LOOP_SIZES, TABLE_CASES, empty_table, enumerate_spheres, loo
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_scan import reference_is_sphere
-from reference_tables import ReferenceTables, act_cycle_violations, act_face_table, face_maps
+from reference_tables import (
+    ReferenceTables,
+    act_cycle_violations,
+    act_face_table,
+    face_maps,
+    reference_act,
+)
 
 from aufhebung import _kernels, complexes
 from aufhebung.bounds import (
@@ -166,7 +172,8 @@ def test_faces_match_act_oracle(shape, n):
         for k in range(1, X.truncation + 1):
             fmaps = face_maps(X, k)
             for c in X.cells_of_dim(k):
-                assert X.faces(c) == tuple(X.act(c, fm) for fm in fmaps), (shape, n, k, c)
+                assert X.faces(c) == tuple(reference_act(X, c, fm) for fm in fmaps), \
+                    (shape, n, k, c)
 
 
 @pytest.mark.parametrize("shape,n", TABLE_CASES)
@@ -175,6 +182,28 @@ def test_cycle_violations_match_act_oracle_on_generators(shape, n):
         for g in X.generators.values():
             got = list(X.cycle_violations(g.faces, g.dim))
             assert got == list(act_cycle_violations(X, g.faces, g.dim)) == []
+
+
+@pytest.mark.parametrize("shape,n", TABLE_CASES)
+def test_act_matches_reference_act(shape, n):
+    # the face-table walk of act against the recursive push, on a seeded
+    # sample of each layer: monos from every dimension at or below the
+    # cell's, multi-face ones and for cyclic the rotations included, and
+    # epis from up to two dimensions above
+    rng = random.Random(n)
+
+    def sample(seq, size):
+        return rng.sample(seq, min(size, len(seq)))
+
+    for X in table_complexes(shape, n):
+        top = min(X.truncation, n + 3)
+        for k in range(top + 1):
+            maps = [f for j in range(k + 1) for f in sample(enumerate_monos(j, k, shape), 6)]
+            maps += [f for j in range(k + 1, min(k + 2, X.truncation) + 1)
+                     for f in sample(enumerate_epis(j, k, shape), 4)]
+            for c in sample(X.cells_of_dim(k), 20):
+                for f in maps:
+                    assert X.act(c, f) == reference_act(X, c, f), (shape, n, c, f)
 
 
 @lru_cache(maxsize=None)
@@ -353,5 +382,5 @@ def test_naive_filler_counts_match_oracle():
         sphere = make_sphere(X, tuple(tab.cells[k - 1][i] for i in combo), k)
         res = brute_force_fill(X, sphere)
         direct = [c for c in tab.cells[k]
-                  if tuple(X.act(c, fm) for fm in face_maps(X, k)) == sphere.faces]
+                  if tuple(reference_act(X, c, fm) for fm in face_maps(X, k)) == sphere.faces]
         assert list(res.witnesses) == direct
