@@ -10,12 +10,12 @@ spheres is a conjunctive query over the face table ``F2``, each equation an
 equi-join predicate.  :func:`scan_spheres` answers it with one numpy kernel
 that extends a frontier of partial spheres slot by slot:
 
-* :func:`plan_slots` fixes the order in which slots are filled, greedily:
-  next comes the slot with the most equations to the slots already placed
-  (the variable order of generic join), and each equation is re-oriented
-  toward the slot placed earlier.  Cubes are filled (1,0), (2,0), ...,
-  (k,0), (1,1), ..., (k,1), so every slot after the first is bound by an
-  equation; the other shapes keep the given order;
+* :func:`plan_slots` fixes the order in which slots are filled (the
+  variable order of generic join): the even slots, then the odd ones, for
+  every shape and k, and each equation is re-oriented toward the slot
+  placed earlier.  Cubes are filled (1,0), (2,0), ..., (k,0), (1,1), ...,
+  (k,1), so every slot after the first is bound by an equation; globes
+  keep the given order;
 * ``F2`` is sorted once per scan for each distinct tuple of columns that
   a slot's equations constrain, each row keyed as one void value, with a
   stable sort; a prefix's candidates for a slot are then one equal-key
@@ -102,29 +102,23 @@ def plan_slots(shape: str, k: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[i
     Returns ``(order, cons)``: ``order[p]`` is the slot filled p-th, and
     ``cons[p]`` lists ``(q, col_new, col_prev)`` for each equation between
     slot ``order[p]`` and an earlier-filled slot ``order[q]``, q < p, in
-    the form of :func:`build_constraints`.  Slot 0 comes first; next, the
-    unplaced slot with the most equations to placed slots, the lowest
-    index on a tie.  Cached per process; both are tuples.
+    the form of :func:`build_constraints`.  The even slots come first,
+    then the odd ones, for every shape and every k: for cubes that is
+    (1,0), (2,0), ..., (k,0), then (1,1), ..., (k,1), so every slot after
+    the first is bound by an equation; globes keep their order.  Cached
+    per process; both are tuples.
     """
     cons = build_constraints(shape, k)
-    # every equation once from each end: (other slot, own column, other column)
-    ends: list[list[tuple[int, int, int]]] = [[] for _ in cons]
+    order = tuple(range(0, len(cons), 2)) + tuple(range(1, len(cons), 2))
+    pos = {slot: p for p, slot in enumerate(order)}
+    planned: list[list[tuple[int, int, int]]] = [[] for _ in order]
     for new, row in enumerate(cons):
         for prev, c_new, c_prev in row:
-            ends[new].append((prev, c_new, c_prev))
-            ends[prev].append((new, c_prev, c_new))
-    order: list[int] = []
-    pos = {}
-    while len(order) < len(cons):
-        slot = max((t for t in range(len(cons)) if t not in pos),
-                   key=lambda t: (sum(o in pos for o, _, _ in ends[t]), -t))
-        pos[slot] = len(order)
-        order.append(slot)
-    planned = tuple(tuple(sorted((pos[o], c_own, c_other)
-                                 for o, c_own, c_other in ends[slot]
-                                 if pos[o] < pos[slot]))
-                    for slot in order)
-    return tuple(order), planned
+            if pos[prev] < pos[new]:
+                planned[pos[new]].append((pos[prev], c_new, c_prev))
+            else:
+                planned[pos[prev]].append((pos[new], c_prev, c_new))
+    return order, tuple(tuple(sorted(row)) for row in planned)
 
 
 def _lex_order(A: np.ndarray) -> np.ndarray:

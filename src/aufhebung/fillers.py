@@ -355,6 +355,7 @@ def constructive_filler(X: SkeletalComplex, s: Sphere, trace: bool = False) -> F
 def brute_force_fill(X: SkeletalComplex, s: Sphere,
                      budget_cells: int = 10 ** 6) -> FillResult:
     """All fillers of a sphere, by exhaustive scan of the k-cell layer."""
+    _kernels.require_positive(budget_cells=budget_cells)
     k = s.k
     if k > X.truncation:
         raise TruncationError(f"sphere dimension {k} exceeds truncation")

@@ -34,6 +34,7 @@ computed from integer data alone.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -419,7 +420,12 @@ def _split_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int, tuple[i
     """The unique (rotation, monotone value table) pair of a lift window.
 
     ``vals`` gives a lift on 0..dom; it is first shifted by a multiple of
-    cod + 1 so that 0 <= vals[0] <= cod.
+    cod + 1 so that 0 <= vals[0] <= cod.  The rotation r is the number of
+    values above cod, and the table on 0..dom is the lift at y - r:
+    ``vals[dom+1-r:]`` less cod + 1, then ``vals[:dom+1-r]``.  It is unique:
+    the lift is monotone and at most vals[0] + cod + 1 on 0..dom, so this
+    table lies in [0, cod], while a smaller rotation ends on a value above
+    cod and a larger one starts with a negative value.
     """
     if len(vals) != dom + 1:
         raise ShapeError("lift window has wrong length")
@@ -429,14 +435,8 @@ def _split_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int, tuple[i
         raise ShapeError("lift is not monotone")
     if vals[dom] > vals[0] + cod + 1:
         raise ShapeError("lift violates the degree-one bound")
-    matches = []
-    for r in range(dom + 1):
-        table = tuple(_lift_at(vals, cod, y - r) for y in range(dom + 1))
-        if 0 <= table[0] and table[-1] <= cod:
-            matches.append((r, table))
-    if len(matches) != 1:
-        raise ShapeError(f"lift does not determine a unique rotation: {matches!r}")
-    return matches[0]
+    r = sum(1 for v in vals if v > cod)
+    return r, tuple(v - cod - 1 for v in vals[dom + 1 - r:]) + vals[:dom + 1 - r]
 
 
 @dataclass(frozen=True)
@@ -810,8 +810,9 @@ def epi_rank(f: ShapeMorphism) -> int:
 
 
 def _epi_values(n: int, js: tuple[int, ...]) -> tuple[int, ...]:
-    """Value table on 0..n of the monotone surjection with degeneracy indices js."""
-    return tuple(p - sum(1 for j in js if j < p) for p in range(n + 1))
+    """Value table on 0..n of the monotone surjection with the increasing
+    degeneracy indices js."""
+    return tuple(p - bisect_left(js, p) for p in range(n + 1))
 
 
 def _merges(table: tuple[int, ...]) -> tuple[int, ...]:

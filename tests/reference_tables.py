@@ -14,7 +14,9 @@ degeneracy tables and, for cyclic complexes, the basic
 rotation of each layer.  On those tables it checks every defining relation
 of the shape category and recovers Eilenberg-Zilber decompositions by
 exhaustive search, independently of the structural representation the
-package uses.  It is not used by the package.
+package uses.  :func:`reference_split_lift` finds the rotation of a cyclic
+lift window by trying every rotation, where the package reads it off in
+closed form.  None of this is used by the package.
 """
 
 import numpy as np
@@ -25,8 +27,10 @@ from aufhebung.shapes import (
     CubeMorphism,
     CyclicMorphism,
     GlobeMorphism,
+    ShapeError,
     ShapeMorphism,
     SimplexMorphism,
+    _lift_at,
     compose,
     enumerate_epis,
     epi_mono_factor,
@@ -85,6 +89,23 @@ def _act_mono(X, name: str, mono: ShapeMorphism) -> Cell:
     if rest.is_identity:
         return face
     return reference_act(X, face, rest)
+
+
+def reference_split_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``shapes._split_lift`` by search: the window is shifted so that
+    0 <= vals[0] <= cod, then every rotation r in 0..dom is tried, and the
+    one whose table, the lift at y - r on 0..dom, lies in [0, cod] must be
+    unique.  The input checks are left to ``_split_lift``."""
+    shift = (vals[0] % (cod + 1)) - vals[0]
+    vals = tuple(v + shift for v in vals)
+    matches = []
+    for r in range(dom + 1):
+        table = tuple(_lift_at(vals, cod, y - r) for y in range(dom + 1))
+        if 0 <= table[0] and table[-1] <= cod:
+            matches.append((r, table))
+    if len(matches) != 1:
+        raise ShapeError(f"lift does not determine a unique rotation: {matches!r}")
+    return matches[0]
 
 
 def face_maps(X, k) -> list[ShapeMorphism]:

@@ -200,6 +200,8 @@ def test_cell_budget_exceeded_exit_2(tmp_path, capsys):
     ["coskeletal", "{path}", "--from", "1", "--to", "2", "--budget-cells", "-1"],
     ["verify", "--shape", "cubical", "--n", "1", "--budget-spheres", "0"],
     ["verify", "--shape", "cubical", "--n", "1", "--budget-cells", "0"],
+    ["fill", "{path}", "x, x, y, y", "--budget-cells", "0"],
+    ["fill", "{path}", "x, x, y, y", "--budget-cells", "-3"],
 ])
 def test_non_positive_budget_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "ce.complex"

@@ -1,13 +1,16 @@
 """Cyclic-category algebra: rotation normal forms and the integer-lift oracle."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from reference_tables import reference_split_lift
 
 from aufhebung.shapes import (
     CyclicMorphism,
     ShapeError,
     SimplexMorphism,
+    _split_lift,
     compose,
     enumerate_epis,
     format_morphism,
@@ -177,3 +180,27 @@ def test_underlying_simplex_morphism():
     g = normalize("cyclic", "s3x d0", dom=2)
     assert g.rotation == 1
     assert g.delta_part.is_identity
+
+
+def test_split_lift_matches_rotation_search():
+    # every monotone degree-one window with dom, cod <= 5, also shifted by
+    # a period either way: the closed form gives the rotation and table
+    # that the search over all rotations finds
+    n = 0
+    for dom in range(6):
+        for cod in range(6):
+            for v0 in range(cod + 1):
+                for rest in combinations_with_replacement(range(v0, v0 + cod + 2), dom):
+                    for shift in (0, cod + 1, -(cod + 1)):
+                        vals = tuple(v + shift for v in (v0,) + rest)
+                        assert _split_lift(dom, cod, vals) == reference_split_lift(dom, cod, vals)
+                        n += 1
+    assert n == 25743
+    # the input checks stay: a window that is not monotone, or that climbs
+    # past the degree-one bound, is refused
+    with pytest.raises(ShapeError, match="not monotone"):
+        _split_lift(2, 2, (1, 0, 2))
+    with pytest.raises(ShapeError, match="degree-one bound"):
+        _split_lift(2, 2, (0, 1, 4))
+    with pytest.raises(ShapeError, match="degree-one bound"):
+        CyclicMorphism.from_lift(1, 0, (0, 2))

@@ -8,6 +8,7 @@ import hashlib
 import sys
 import threading
 from collections import Counter
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -207,15 +208,22 @@ def test_reports_identical_across_backends():
 
 
 def test_slot_plans_pinned():
-    # cubes fill (1,0), (2,0), ..., (k,0), then (1,1), ..., (k,1); every
-    # other shape keeps the given order
+    # every shape fills its even slots first, then its odd ones: for cubes
+    # (1,0), (2,0), ..., (k,0), then (1,1), ..., (k,1); globes keep their
+    # order
     for k in range(1, 9):
-        order, _ = _kernels.plan_slots("cubical", k)
-        assert order == tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2))
-        for shape in ("simplicial", "cyclic", "globular"):
-            order, cons = _kernels.plan_slots(shape, k)
-            assert order == tuple(range(len(_kernels.build_constraints(shape, k))))
-            assert [list(row) for row in cons] == _kernels.build_constraints(shape, k)
+        for shape in SHAPES:
+            n = len(_kernels.build_constraints(shape, k))
+            order, _ = _kernels.plan_slots(shape, k)
+            assert order == tuple(range(0, n, 2)) + tuple(range(1, n, 2))
+        cons = _kernels.plan_slots("globular", k)[1]
+        assert [list(row) for row in cons] == _kernels.build_constraints("globular", k)
+    assert _kernels.plan_slots("simplicial", 4)[0] == (0, 2, 4, 1, 3)
+    # c_j d_i == c_i d_(j-1), held by the slot placed later: c_4 d_1 ==
+    # c_1 d_3 goes to slot 1, placed after slot 4, as (2, 3, 1)
+    assert _kernels.plan_slots("simplicial", 4)[1] == (
+        (), ((0, 0, 1),), ((0, 0, 3), (1, 2, 3)),
+        ((0, 0, 0), (1, 1, 1), (2, 3, 1)), ((0, 0, 2), (1, 2, 2), (2, 3, 3), (3, 1, 2)))
     # cached and immutable, like the shape tables
     assert _kernels.plan_slots("cubical", 4) is _kernels.plan_slots("cubical", 4)
     assert isinstance(_kernels.plan_slots("cubical", 4)[1][3], tuple)
@@ -311,6 +319,60 @@ def test_scan_matches_reference(inputs, block):
     F2, B, shape, k, kw = inputs
     want = reference_scan(F2, B, shape, k, **kw)
     with mock.patch.object(_kernels, "BLOCK", block):
+        got = _kernels.scan_spheres(F2, B, shape, k, **kw)
+    assert_same_scan(got, want)
+
+
+def _plan_in_order(shape, k, order):
+    """A slot plan in the form of ``plan_slots`` that fills the slots in
+    ``order``, each equation held by the slot placed later."""
+    pos = {slot: p for p, slot in enumerate(order)}
+    planned = [[] for _ in order]
+    for new, row in enumerate(_kernels.build_constraints(shape, k)):
+        for prev, c_new, c_prev in row:
+            if pos[prev] < pos[new]:
+                planned[pos[new]].append((pos[prev], c_new, c_prev))
+            else:
+                planned[pos[prev]].append((pos[new], c_prev, c_new))
+    return tuple(order), tuple(tuple(sorted(row)) for row in planned)
+
+
+@cache
+def _complex_levels():
+    """(F2, B, shape, k) of the levels from 2 up to at most 6 of the
+    counterexample and a random complex for each shape: every boundary row is a sphere, so these catch
+    a counted interval checked against the wrong equations."""
+    levels = []
+    for shape, n, top in (("simplicial", 3, 6), ("cubical", 2, 6),
+                          ("cyclic", 2, 4), ("globular", 2, 6)):
+        for X in table_complexes(shape, n)[:2]:
+            tab = X.tabulate(min(top, X.truncation))
+            levels += [(tab.faces[k - 1], tab.faces[k], shape, k)
+                       for k in range(2, min(top, X.truncation) + 1)]
+    return levels
+
+
+@st.composite
+def complex_levels(draw):
+    F2, B, shape, k = draw(st.sampled_from(_complex_levels()))
+    return F2, B, shape, k, dict(miss_cap=draw(st.integers(0, 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(scan_inputs(), complex_levels()),
+       st.sampled_from([3, 16, _kernels.BLOCK]), st.data())
+def test_full_scans_do_not_depend_on_the_slot_order(inputs, block, data):
+    # any slot order gives the same full scan: the scan's plan and the
+    # per-process equations read from it are both swapped for one in a
+    # random order
+    F2, B, shape, k, kw = inputs
+    kw["budget"] = 10 ** 6
+    order = data.draw(st.permutations(range(len(_kernels.build_constraints(shape, k)))))
+    want = reference_scan(F2, B, shape, k, **kw)
+    with mock.patch.object(_kernels, "plan_slots", lambda s, j: _plan_in_order(s, j, order)), \
+            mock.patch.object(_kernels, "_planned_equations",
+                              _kernels._planned_equations.__wrapped__), \
+            mock.patch.object(_kernels, "BLOCK", block):
         got = _kernels.scan_spheres(F2, B, shape, k, **kw)
     assert_same_scan(got, want)
 
