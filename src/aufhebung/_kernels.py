@@ -13,9 +13,7 @@ that extends a frontier of partial spheres slot by slot:
 * :func:`plan_slots` fixes the order in which slots are filled (the
   variable order of generic join): the even slots, then the odd ones, for
   every shape and k, and each equation is re-oriented toward the slot
-  placed earlier.  Cubes are filled (1,0), (2,0), ..., (k,0), (1,1), ...,
-  (k,1), so every slot after the first is bound by an equation; globes
-  keep the given order;
+  placed earlier;
 * ``F2`` is sorted once per scan for each distinct tuple of columns that
   a slot's equations constrain, each row keyed as one void value, with a
   stable sort; a prefix's candidates for a slot are then one equal-key
@@ -108,11 +106,15 @@ def plan_slots(shape: str, k: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[i
     the first is bound by an equation; globes keep their order.  Cached
     per process; both are tuples.
     """
-    cons = build_constraints(shape, k)
-    order = tuple(range(0, len(cons), 2)) + tuple(range(1, len(cons), 2))
+    n = len(build_constraints(shape, k))
+    return _orient(shape, k, tuple(range(0, n, 2)) + tuple(range(1, n, 2)))
+
+
+def _orient(shape: str, k: int, order: tuple[int, ...]):
+    """The plan of :func:`plan_slots` that fills the slots in ``order``."""
     pos = {slot: p for p, slot in enumerate(order)}
     planned: list[list[tuple[int, int, int]]] = [[] for _ in order]
-    for new, row in enumerate(cons):
+    for new, row in enumerate(build_constraints(shape, k)):
         for prev, c_new, c_prev in row:
             if pos[prev] < pos[new]:
                 planned[pos[new]].append((pos[prev], c_new, c_prev))

@@ -210,12 +210,25 @@ def test_reports_identical_across_backends():
 def test_slot_plans_pinned():
     # every shape fills its even slots first, then its odd ones: for cubes
     # (1,0), (2,0), ..., (k,0), then (1,1), ..., (k,1); globes keep their
-    # order
+    # order.  Each row of equations is sorted and holds, with q < p, exactly
+    # the equations of build_constraints between its slot and one placed
+    # earlier, so the rows are pinned too
     for k in range(1, 9):
         for shape in SHAPES:
-            n = len(_kernels.build_constraints(shape, k))
-            order, _ = _kernels.plan_slots(shape, k)
+            eqs = _kernels.build_constraints(shape, k)
+            n = len(eqs)
+            order, cons = _kernels.plan_slots(shape, k)
             assert order == tuple(range(0, n, 2)) + tuple(range(1, n, 2))
+            assert len(cons) == n
+            got = []
+            for p, row in enumerate(cons):
+                assert list(row) == sorted(row)
+                for q, a, b in row:
+                    assert q < p
+                    got.append(frozenset([(order[p], a), (order[q], b)]))
+            want = [frozenset([(new, a), (prev, b)])
+                    for new, row in enumerate(eqs) for prev, a, b in row]
+            assert sorted(map(sorted, got)) == sorted(map(sorted, want))
         cons = _kernels.plan_slots("globular", k)[1]
         assert [list(row) for row in cons] == _kernels.build_constraints("globular", k)
     assert _kernels.plan_slots("simplicial", 4)[0] == (0, 2, 4, 1, 3)
@@ -323,20 +336,6 @@ def test_scan_matches_reference(inputs, block):
     assert_same_scan(got, want)
 
 
-def _plan_in_order(shape, k, order):
-    """A slot plan in the form of ``plan_slots`` that fills the slots in
-    ``order``, each equation held by the slot placed later."""
-    pos = {slot: p for p, slot in enumerate(order)}
-    planned = [[] for _ in order]
-    for new, row in enumerate(_kernels.build_constraints(shape, k)):
-        for prev, c_new, c_prev in row:
-            if pos[prev] < pos[new]:
-                planned[pos[new]].append((pos[prev], c_new, c_prev))
-            else:
-                planned[pos[prev]].append((pos[new], c_prev, c_new))
-    return tuple(order), tuple(tuple(sorted(row)) for row in planned)
-
-
 @cache
 def _complex_levels():
     """(F2, B, shape, k) of the levels from 2 up to at most 6 of the
@@ -369,7 +368,7 @@ def test_full_scans_do_not_depend_on_the_slot_order(inputs, block, data):
     kw["budget"] = 10 ** 6
     order = data.draw(st.permutations(range(len(_kernels.build_constraints(shape, k)))))
     want = reference_scan(F2, B, shape, k, **kw)
-    with mock.patch.object(_kernels, "plan_slots", lambda s, j: _plan_in_order(s, j, order)), \
+    with mock.patch.object(_kernels, "plan_slots", lambda s, j: _kernels._orient(s, j, tuple(order))), \
             mock.patch.object(_kernels, "_planned_equations",
                               _kernels._planned_equations.__wrapped__), \
             mock.patch.object(_kernels, "BLOCK", block):
