@@ -28,13 +28,13 @@ left, matching the composition order.
 
 Tabulation does not use the morphism objects: :func:`face_step` and
 :func:`epi_composition` give the same facts about epis as integer tables,
-computed from integer data alone.
+computed with numpy from the epis' merge and delete sets; the cyclic
+tables are the simplicial ones re-indexed by rotation arithmetic.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -409,13 +409,6 @@ class GlobeMorphism:
 # x -> x + 1; a monotone map lifts periodically.
 
 
-def _lift_at(window: tuple[int, ...], cod: int, x: int) -> int:
-    """Value at any integer x of the degree-one lift with this window on
-    0..dom, where dom = len(window) - 1."""
-    q, rem = divmod(x, len(window))
-    return window[rem] + q * (cod + 1)
-
-
 def _split_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """The unique (rotation, monotone value table) pair of a lift window.
 
@@ -785,66 +778,50 @@ def sections_of(epi: ShapeMorphism) -> list[ShapeMorphism]:
 #
 # The k-cells over a generator of dimension m are its epis [k] ->> [m], in
 # the order of :func:`_epi_keys`; an epi's *rank* is its position there.
-# The tables below depend on the shape alone.  They are built from
-# integer data (degeneracy index tuples, delete sets, lift windows), never
-# from morphism objects, and are cached per process as read-only arrays;
-# one table per (shape, dimensions) key, and the keys are small.
-
-
-@lru_cache(maxsize=None)
-def _epi_ranks(shape: str, n: int, m: int) -> dict:
-    return {key: rank for rank, key in enumerate(_epi_keys(shape, n, m))}
+# An ordinal epi is the boolean row of its merge set, the j with f(j) =
+# f(j + 1), and a cube epi the row of its delete set, 0-based.  A set
+# c_0 < ... < c_{t-1} of 0..n-1 has the lexicographic rank C(n, t) - 1 -
+# sum_i C(n - 1 - c_i, t - i) (Knuth, TAOCP 4A, 7.2.1.3).  A cyclic epi is
+# a rotation followed by an ordinal epi, uniquely (Connes 1983; Loday,
+# *Cyclic Homology*, 6.1), so its rank is rotation * C(n, t) + the ordinal
+# rank, and the cyclic tables are the simplicial ones re-indexed.
 
 
 def epi_rank(f: ShapeMorphism) -> int:
     """Position of the canonical epi ``f`` in ``enumerate_epis(f.dom, f.cod, f.shape)``."""
-    if isinstance(f, SimplexMorphism):
-        key = f.epis
-    elif isinstance(f, CubeMorphism):
-        key = tuple(d - 1 for d in f.deletes)
-    elif isinstance(f, GlobeMorphism):
-        key = ()
-    else:
-        key = (f.rotation, f.delta_part.epis)
-    return _epi_ranks(f.shape, f.dom, f.cod)[key]
+    if isinstance(f, GlobeMorphism):
+        return 0
+    if isinstance(f, CyclicMorphism):
+        return f.rotation * comb(f.dom, f.dom - f.cod) + epi_rank(f.delta_part)
+    members = f.epis if isinstance(f, SimplexMorphism) else [d - 1 for d in f.deletes]
+    t = len(members)
+    rank = comb(f.dom, t) - 1
+    for i, c in enumerate(members):
+        rank -= comb(f.dom - 1 - c, t - i)
+    return rank
 
 
-def _epi_values(n: int, js: tuple[int, ...]) -> tuple[int, ...]:
-    """Value table on 0..n of the monotone surjection with the increasing
-    degeneracy indices js."""
-    return tuple(p - bisect_left(js, p) for p in range(n + 1))
+def _rank(rows: np.ndarray) -> np.ndarray:
+    """The ranks of boolean set rows along the last axis, of any sizes:
+    t - i is the number of members at or after c_i."""
+    n = rows.shape[-1]
+    binom = np.array([[comb(x, y) for y in range(n + 1)] for x in range(n + 1)], np.int64)
+    later = np.cumsum(rows[..., ::-1], axis=-1)[..., ::-1]
+    terms = np.where(rows, binom[np.arange(n - 1, -1, -1), later], 0)
+    return binom[n, rows.sum(-1)] - 1 - terms.sum(-1)
 
 
-def _merges(table: tuple[int, ...]) -> tuple[int, ...]:
-    """Degeneracy indices of a monotone value table: where it repeats."""
-    return tuple(x for x in range(len(table) - 1) if table[x] == table[x + 1])
+def _rows(n: int, m: int) -> np.ndarray:
+    """The merge (ordinals) or delete (cubes) rows of the epis [n] ->> [m]."""
+    members = np.array(_epi_keys("simplicial", n, m), np.intp)
+    rows = np.zeros((len(members), n), bool)
+    rows[np.arange(len(members))[:, None], members] = True
+    return rows
 
 
-def _missed(table: tuple[int, ...], m: int) -> int:
-    """The value in 0..m a monotone table misses, or -1 (at most one is)."""
-    return next((c for c in range(m + 1) if c not in table), -1)
-
-
-def _face_step_entry(shape: str, k: int, m: int, key, slot: int) -> tuple[int, object]:
-    """(generator face j or -1, integer data of the epi) of (epi . face map in slot)."""
-    if shape == "globular":
-        return (-1 if k > m else slot), ()
-    if shape == "cubical":
-        pos, sign = divmod(slot, 2)
-        rest = tuple(d if d < pos else d - 1 for d in key if d != pos)
-        if pos in key:
-            return -1, rest
-        return 2 * (pos - sum(1 for d in key if d < pos)) + sign, rest
-    # the elementary face map d_slot : [k - 1] -> [k]
-    skip = tuple(x if x < slot else x + 1 for x in range(k))
-    if shape == "simplicial":
-        values = _epi_values(k, key)
-        table = tuple(values[x] for x in skip)
-        return _missed(table, m), _merges(table)
-    rot, js = key
-    values = _epi_values(k, js)
-    r, table = _split_lift(k - 1, m, tuple(_lift_at(values, m, x + rot) for x in skip))
-    return _missed(table, m), (r, _merges(table))
+def _skip(n: int) -> np.ndarray:
+    """Row s, for s in 0..n, lists 0..n without s."""
+    return np.arange(n) + (np.arange(n) >= np.arange(n + 1)[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -862,42 +839,63 @@ def face_step(shape: str, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     factorisation).
     """
     slots = face_arity(shape, k)
-    keys = _epi_keys(shape, k, m)
-    face = np.zeros((len(keys), slots), np.int32)
-    epi = np.zeros((len(keys), slots), np.int32)
-    for e, key in enumerate(keys):
-        for slot in range(slots):
-            j, rest = _face_step_entry(shape, k, m, key, slot)
-            face[e, slot] = j
-            epi[e, slot] = _epi_ranks(shape, k - 1, m if j < 0 else m - 1)[rest]
+    if k == 0 or shape == "globular":
+        face = np.full((1, slots), -1) if k > m else np.arange(slots)[None]
+        epi = np.zeros_like(face)
+    elif shape == "cubical":
+        # the face at pos drops pos from the delete set, absorbed if it was in
+        rows = _rows(k, m)
+        kept = np.cumsum(~rows, axis=1) - ~rows
+        face = np.where(rows[..., None], -1, 2 * kept[..., None] + np.arange(2))
+        face = face.reshape(len(rows), slots)
+        epi = np.repeat(_rank(rows[:, _skip(k - 1)]), 2, axis=1)
+    else:
+        # d_s is absorbed if the epi merges at s - 1 or s; it drops s from
+        # the merge set if the epi merges at s, and s - 1 otherwise
+        rows, s = _rows(k, m), np.arange(k + 1)
+        edged = np.pad(rows, ((0, 0), (1, 1)))  # column s + 1 is the merge at s
+        face = np.where(edged[:, :-1] | edged[:, 1:], -1,
+                        s - np.cumsum(edged[:, :-1], axis=1))
+        dropped = s - (~edged[:, 1:] & (s > 0))
+        epi = _rank(rows[np.arange(len(rows))[:, None, None], _skip(k - 1)[dropped]])
+        if shape == "cyclic":
+            # t^r d_s = d_(s+r mod k+1) t^r' with r' = (r - [s + r > k]) mod k
+            r = s[:, None]
+            face, epi = face[:, (s + r) % (k + 1)], epi[:, (s + r) % (k + 1)]
+            epi += (r - (s + r > k)) % k * np.where(face < 0, count_epis(
+                k - 1, m, "simplicial"), count_epis(k - 1, m - 1, "simplicial"))
+            face, epi = (x.transpose(1, 0, 2).reshape(-1, slots) for x in (face, epi))
+    face, epi = face.astype(np.int32), epi.astype(np.int32)
     face.flags.writeable = epi.flags.writeable = False
     return face, epi
-
-
-def _compose_keys(shape: str, a: int, b: int, c: int, first, then):
-    """Integer data of the composite [a] ->> [b] ->> [c], ``first`` applied first."""
-    if shape == "globular":
-        return ()
-    if shape == "cubical":
-        survivors = [x for x in range(a) if x not in first]
-        return tuple(sorted(first + tuple(survivors[d] for d in then)))
-    if shape == "simplicial":
-        inner, outer = _epi_values(a, first), _epi_values(b, then)
-        return _merges(tuple(outer[v] for v in inner))
-    (r1, js1), (r2, js2) = first, then
-    inner, outer = _epi_values(a, js1), _epi_values(b, js2)
-    r, table = _split_lift(a, c, tuple(
-        _lift_at(outer, c, _lift_at(inner, b, x + r1) + r2) for x in range(a + 1)))
-    return r, _merges(table)
 
 
 @lru_cache(maxsize=None)
 def epi_composition(shape: str, a: int, b: int, c: int) -> np.ndarray:
     """Read-only int32 table: (rank of [a] ->> [b], rank of [b] ->> [c]) ->
     rank of their composite [a] ->> [c]."""
-    firsts, thens = _epi_keys(shape, a, b), _epi_keys(shape, b, c)
-    ranks = _epi_ranks(shape, a, c)
-    out = np.array([[ranks[_compose_keys(shape, a, b, c, f, t)] for t in thens]
-                    for f in firsts], np.int32).reshape(len(firsts), len(thens))
+    if shape == "globular":
+        out = np.zeros((1, 1))
+    else:
+        # the composite's set: the first set with the second one deposited
+        # into the first's b free positions
+        first, then = _rows(a, b), _rows(b, c)
+        free = np.nonzero(~first)[1].reshape(len(first), b)
+        out = np.repeat(first[:, None], len(then), axis=1)
+        out[np.arange(len(first))[:, None, None], np.arange(len(then))[:, None],
+            free[:, None]] = then
+        out = _rank(out)
+    if shape == "cyclic":
+        # s_J2 t^r2 s_J1 t^r1 = s_J2 s_J1' t^(q + r1), by t^r2 s_J1 = s_J1' t^q:
+        # q = #{x : s_J1(x) >= b + 1 - r2}, and J1' is J1, a set of Z/(a + 1),
+        # shifted by q
+        values = np.arange(a + 1) - np.cumsum(np.pad(first, ((0, 0), (1, 0))), axis=1)
+        q = (values[:, None] >= b + 1 - np.arange(b + 1)[:, None]).sum(-1)
+        shifted = np.pad(first, ((0, 0), (0, 1)))[
+            np.arange(len(first))[:, None, None], (np.arange(a) - q[..., None]) % (a + 1)]
+        turn = (q + np.arange(a + 1)[:, None, None]) % (a + 1)
+        out = turn[..., None] * count_epis(a, c, "simplicial") + out[_rank(shifted)]
+        out = out.reshape((a + 1) * len(first), -1)
+    out = out.astype(np.int32)
     out.flags.writeable = False
     return out

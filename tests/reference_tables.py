@@ -16,7 +16,8 @@ of the shape category and recovers Eilenberg-Zilber decompositions by
 exhaustive search, independently of the structural representation the
 package uses.  :func:`reference_split_lift` finds the rotation of a cyclic
 lift window by trying every rotation, where the package reads it off in
-closed form.  None of this is used by the package.
+closed form; it reads the lift at any integer with :func:`_lift_at`.
+None of this is used by the package.
 """
 
 import numpy as np
@@ -30,7 +31,6 @@ from aufhebung.shapes import (
     ShapeError,
     ShapeMorphism,
     SimplexMorphism,
-    _lift_at,
     compose,
     enumerate_epis,
     epi_mono_factor,
@@ -89,6 +89,13 @@ def _act_mono(X, name: str, mono: ShapeMorphism) -> Cell:
     if rest.is_identity:
         return face
     return reference_act(X, face, rest)
+
+
+def _lift_at(window: tuple[int, ...], cod: int, x: int) -> int:
+    """Value at any integer x of the degree-one lift with this window on
+    0..dom, where dom = len(window) - 1."""
+    q, rem = divmod(x, len(window))
+    return window[rem] + q * (cod + 1)
 
 
 def reference_split_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

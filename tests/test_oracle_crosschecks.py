@@ -4,6 +4,7 @@ the sphere kernel against a naive product-filter enumeration."""
 import random
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,9 +36,12 @@ from aufhebung.shapes import (
     CyclicMorphism,
     SimplexMorphism,
     compose,
+    count_epis,
     enumerate_epis,
     enumerate_monos,
     epi_composition,
+    epi_mono_factor,
+    epi_of_rank,
     epi_rank,
     face_step,
     identity,
@@ -297,6 +301,39 @@ def test_shape_tables_are_read_only():
         assert face_step(shape, 3, 1)[0] is face_step(shape, 3, 1)[0]
 
 
+def test_shape_tables_match_morphism_algebra():
+    # every entry of the integer tables, from the morphism algebra alone: the
+    # epi of each rank composed with each elementary face, or followed by each
+    # epi, is factored, and its epi part is ranked and its mono read as the
+    # face-table columns act walks; the cyclic grid stops one lower, since
+    # composing cyclic lifts over the full grid takes about 8 s
+    for shape in SHAPES:
+        top = 7 if shape == "cyclic" else 8
+        for k in range(top + 1):
+            fmaps = face_maps(SimpleNamespace(shape=shape), k) if k else []
+            for m in range(k + 1):
+                face, epi = face_step(shape, k, m)
+                assert face.shape == epi.shape == (count_epis(k, m, shape), len(fmaps))
+                for e in range(len(face)):
+                    f = epi_of_rank(shape, k, m, e)
+                    assert epi_rank(f) == e
+                    for slot, fm in enumerate(fmaps):
+                        mono, rest = epi_mono_factor(compose(f, fm))
+                        j = face[e, slot]
+                        assert complexes._face_columns(mono) == ([j] if j >= 0 else [])
+                        assert epi[e, slot] == epi_rank(rest)
+        for a in range(top):
+            for b in range(a + 1):
+                firsts = enumerate_epis(a, b, shape)
+                for c in range(b + 1):
+                    thens = enumerate_epis(b, c, shape)
+                    table = epi_composition(shape, a, b, c)
+                    assert table.shape == (len(firsts), len(thens))
+                    for i, first in enumerate(firsts):
+                        for t, then in enumerate(thens):
+                            assert table[i, t] == epi_rank(compose(then, first))
+
+
 def test_shape_tables_build_no_morphisms(monkeypatch):
     # integer data only: no morphism is constructed, composed or factored
     from aufhebung import shapes
@@ -310,9 +347,13 @@ def test_shape_tables_build_no_morphisms(monkeypatch):
     monkeypatch.setattr(shapes, "compose", refuse)
     monkeypatch.setattr(shapes, "epi_mono_factor", refuse)
     for shape in ("simplicial", "cubical", "globular", "cyclic"):
-        # past the cache, so the tables are really built here
-        face_step.__wrapped__(shape, 5, 2)
-        epi_composition.__wrapped__(shape, 5, 3, 1)
+        # past the cache, so the tables are really built here; k = 0 has no
+        # slots, k = 1 takes the cyclic rotation mod 1, and m = 0, m = k,
+        # b = 0, c = 0 and a = b are the edges of the epi sets
+        for k, m in ((5, 2), (0, 0), (1, 0), (1, 1), (4, 0), (4, 4)):
+            face_step.__wrapped__(shape, k, m)
+        for a, b, c in ((5, 3, 1), (0, 0, 0), (3, 0, 0), (4, 2, 0), (3, 3, 1), (2, 2, 2)):
+            epi_composition.__wrapped__(shape, a, b, c)
 
 
 def test_tables_satisfy_all_relations():
