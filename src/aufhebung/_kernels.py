@@ -23,15 +23,19 @@ that extends a frontier of partial spheres slot by slot:
   materialises at most ``BLOCK`` (prefix, candidate) pairs, so memory
   stays O(BLOCK x slots) and spheres come out in depth-first order of
   increasing cell id over the planned slot order;
-* finished spheres are looked up in the k-cell boundary table, its columns
-  permuted into planned order once, one block at a time; the unfilled
-  spheres reported are the lexicographically smallest in the given slot
-  order, kept by a running merge;
-* once that merge holds its full count and the next sphere sorts after
-  all it holds, no later sphere can enter it, so each remaining block of
-  complete spheres is counted from its range sizes without being built;
-  the unfilled count of those is their number less the number of
-  distinct boundary rows that are counted spheres.
+* a frontier whose next slot is the last planned one, ``L``, is counted
+  whole from its range sizes: each of its rows fixes every other slot, so
+  the row's spheres share slots 0..L-1 and rise with the candidate;
+* complete spheres are built, at most ``BLOCK`` at a time, and looked up
+  in the k-cell boundary table, its columns permuted into planned order
+  once, only on rows that can still hold one of the unfilled spheres
+  reported: the lexicographically smallest in the given slot order, kept
+  by a running merge.  Once the merge is full, a row whose slots 0..L-1
+  sort after those of its largest sphere is dropped unbuilt, the top-k
+  threshold of Fagin, Lotem & Naor (PODS 2001);
+* the unfilled count is the misses found when every counted sphere was
+  built, and otherwise the counted spheres less the distinct boundary
+  rows that are counted spheres.
 
 Fillers are rows of the dimension-k face table, so existence is a sorted
 row membership test and uniqueness is duplicate-row detection.  The
@@ -227,7 +231,7 @@ class _Frontier:
     pairs in lexicographic order."""
 
     def __init__(self, d: int, P: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.d, self.P = d, P
+        self.d, self.P, self.lo, self.hi = d, P, lo, hi
         self.end = np.cumsum(hi - lo)
         # pair t of row r sits at sorted position base[r] + t
         self.base = hi - self.end
@@ -244,6 +248,14 @@ class _Frontier:
         t = np.arange(self.pos, min(self.pos + n, self.size))
         self.pos += len(t)
         return self.pairs(t)
+
+    def rest(self, size: int, keep: np.ndarray | bool = True) -> "_Frontier":
+        """The pairs from ``pos`` up to ``size``, on the rows that ``keep``
+        selects, as a new frontier."""
+        lo = np.maximum(self.lo, self.base + self.pos)
+        hi = np.minimum(self.hi, self.base + size)
+        keep = keep & (lo < hi)
+        return _Frontier(self.d, self.P[keep], lo[keep], hi[keep])
 
 
 def _row_set(B: np.ndarray):
@@ -276,6 +288,8 @@ class SphereScan:
 
 def _lex_lt(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``A`` lexicographically below ``t``."""
+    if not A.shape[1]:
+        return np.zeros(len(A), dtype=bool)
     first = np.argmax(A != t, axis=1)
     return A[np.arange(len(A)), first] < t[first]
 
@@ -314,17 +328,6 @@ def _n_distinct(A: np.ndarray) -> int:
     return min(len(keys), 1) + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-def _prefix_cut(A: np.ndarray, t: np.ndarray, width: int) -> int:
-    """Number of leading rows of ``A``, sorted on its first ``width``
-    columns, whose first ``width`` columns are at or below those of ``t``."""
-    lo, hi = 0, len(A)
-    for c in range(width):
-        col = A[lo:hi, c]
-        lo, hi = (lo + int(np.searchsorted(col, t[c], "left")),
-                  lo + int(np.searchsorted(col, t[c], "right")))
-    return hi
-
-
 def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
                  budget: int = 10 ** 6, miss_cap: int = 16) -> SphereScan:
     """Enumerate the k-spheres over the face table ``F2`` of (k-1)-cells.
@@ -339,14 +342,17 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     then describes that prefix.  Against an empty ``B`` every sphere is
     missing, which lists the spheres themselves.
 
-    Complete spheres are materialised and looked up in ``B`` only while
-    they can still enter ``missing``, and their misses are counted as
-    they are found; after that, each last-slot block of the frontier is
-    counted from its range sizes.  Those counted spheres run, in planned
-    order, from the first of them to the first uncounted sphere or the
-    end, so their misses are their number less the number of distinct
-    rows of ``B`` in that interval that meet the cycle equations.  A scan
-    that counts none checks no row of ``B`` against the equations.
+    A row of a last-slot frontier fixes every slot but ``L = order[-1]``,
+    so its spheres share slots ``0..L-1`` and rise with the candidate.
+    Each such frontier is counted whole from its range sizes; complete
+    spheres are built and looked up in ``B`` only on rows that can still
+    hold a witness.  While ``missing`` is short, the next ``miss_cap -
+    len(missing) + len(B)`` pairs are built, of which at most ``len(B)``
+    are filled; once it is full, a row whose slots ``0..L-1`` sort after
+    those of its largest sphere is dropped.  When every counted sphere was
+    built, the misses are counted as found; otherwise they are the spheres
+    counted less the distinct rows of ``B`` that meet the cycle equations
+    and, on overflow, sort before the first uncounted sphere.
     """
     require_positive(budget=budget)
     if miss_cap < 0:
@@ -358,73 +364,59 @@ def scan_spheres(F2: np.ndarray, B: np.ndarray, shape: str, k: int,
     # never equals one, so the membership test reads them all
     filled = B[:, list(order)]
     in_B = _row_set(filled)
-    # planned column p holds slot order[p], so spheres sort on the slots
-    # before the first p with order[p] != p in both orders
-    agree = next((p for p, t in enumerate(order) if p != t), slots)
-    width = min(agree, slots - 1)
+    # planned column to_slot[s] holds slot s; not np.argsort, whose first
+    # call maps in some 400 KB of sort code
+    to_slot = np.array(sorted(range(slots), key=order.__getitem__))
+    L = order[-1]
     kept = np.zeros((0, slots), dtype=np.int32)
-    n_sph = n_miss = 0
-    start = None     # the first sphere counted from range sizes
+    n_sph = n_built = n_miss = 0
     first = None     # the first uncounted sphere, on overflow
     root = np.zeros((1, 0), dtype=np.int32)
     stack = [_Frontier(0, root, *index.ranges(0, root))]
     while stack and first is None:
         top = stack[-1]
-        if top.d + 1 == slots and top.pos < top.size and len(kept) == miss_cap:
-            # once ``kept`` is full and the next sphere sorts after its rows,
-            # so does every later one: count the rest of ``top`` from its
-            # range sizes, without materialising it
-            P, pos = top.pairs(np.array([top.pos]))
-            if not miss_cap or tuple(P[0, :width]) > tuple(kept[-1, :width]):
-                if start is None:
-                    start = np.append(P[0], index.cells(top.d, pos))
-                    n_built = n_sph
-                stack.pop()
-                left = budget - n_sph
-                if top.size - top.pos > left:
-                    P, pos = top.pairs(np.array([top.pos + left]))
-                    first = np.append(P[0], index.cells(top.d, pos))
-                n_sph += min(top.size - top.pos, left)
-                continue
-        P, pos = top.take(BLOCK)
-        if top.pos == top.size:
-            stack.pop()
-        Q = np.concatenate([P, index.cells(top.d, pos)[:, None]], axis=1)
         if top.d + 1 < slots:
+            P, pos = top.take(BLOCK)
+            if top.pos == top.size:
+                stack.pop()
             # the remainder of ``top`` stays below: its pairs come later
-            if len(Q):
+            if len(P):
+                Q = np.concatenate([P, index.cells(top.d, pos)[:, None]], axis=1)
                 stack.append(_Frontier(top.d + 1, Q, *index.ranges(top.d + 1, Q)))
             continue
-        if len(Q) > budget - n_sph:
-            first = Q[budget - n_sph]
-            Q = Q[:budget - n_sph]
-        n_sph += len(Q)
-        miss = Q[~in_B(Q)]
-        n_miss += len(miss)
-        # nothing to keep, or this block and every later one sort after
-        # the kept rows
-        if not len(miss) or not miss_cap or (
-                len(kept) == miss_cap
-                and tuple(miss[0, :agree]) > tuple(kept[-1, :agree])):
-            continue
-        # merge: only rows at or below the miss_cap-th smallest of the kept
-        # rows and the block's first miss_cap rows can be among the smallest
-        to_slot_order = np.argsort(order)
-        rows = np.concatenate([kept, miss[:miss_cap, to_slot_order]])
-        if len(rows) >= miss_cap:
-            t = rows[_lex_order(rows)[miss_cap - 1]]
-            miss = miss[:_prefix_cut(miss, t, agree)]
-            rows = np.concatenate([kept, miss[:, to_slot_order]])
-            rows = rows[_lex_le(rows, t)]
-        kept = rows[_lex_order(rows)[:miss_cap]]
-    if start is not None:
-        # every sphere from ``start`` on, up to ``first``, was counted; the
-        # filled ones among them are the distinct sphere rows of B there
-        filled = filled[~_lex_lt(filled, start)]
+        stack.pop()
+        if top.size > budget - n_sph:
+            P, pos = top.pairs(np.array([budget - n_sph]))
+            first = np.append(P[0], index.cells(top.d, pos))
+            top = top.rest(budget - n_sph)
+        n_sph += top.size
+        while miss_cap and top.pos < top.size:
+            # at most len(B) of these are filled, so ``kept`` fills up
+            n = min(BLOCK, miss_cap - len(kept) + len(B))
+            if len(kept) == miss_cap:
+                # no sphere of a row whose slots 0..L-1 sort after those
+                # of the largest kept row can enter ``kept``
+                n = BLOCK
+                top = top.rest(top.size, _lex_le(top.P[:, to_slot[:L]], kept[-1, :L]))
+            P, pos = top.take(n)
+            Q = np.concatenate([P, index.cells(top.d, pos)[:, None]], axis=1)
+            n_built += len(Q)
+            miss = Q[~in_B(Q)]
+            n_miss += len(miss)
+            if len(miss):
+                miss = miss[:, to_slot]
+                if len(kept) == miss_cap:
+                    # cut before sorting: only misses below the largest
+                    # kept row can enter ``kept``
+                    miss = miss[_lex_lt(miss, kept[-1])]
+                rows = np.concatenate([kept, miss])
+                kept = rows[_lex_order(rows)[:miss_cap]]
+    if n_built < n_sph:
+        # the filled spheres counted are the distinct sphere rows of B
+        # before ``first``
         if first is not None:
             filled = filled[_lex_lt(filled, first)]
-        filled = filled[_sphere_rows(index.F2, shape, k, filled)]
-        n_miss += n_sph - n_built - _n_distinct(filled)
+        n_miss = n_sph - _n_distinct(filled[_sphere_rows(index.F2, shape, k, filled)])
     return SphereScan(n_spheres=n_sph, n_missing=n_miss,
                       missing=kept, overflow=first is not None)
 

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
-from .complexes import Cell, GeneratorDecl, SkeletalComplex
+from .complexes import BudgetError, Cell, GeneratorDecl, SkeletalComplex
 from .fillers import (
     Sphere,
     VerificationReport,
@@ -34,6 +34,7 @@ from .shapes import (
     CyclicMorphism,
     GlobeMorphism,
     SimplexMorphism,
+    count_epis,
     identity,
 )
 
@@ -55,9 +56,20 @@ def claimed_upper(shape: str, n: int) -> int:
 # counterexample builders
 
 
-def _checked(X: SkeletalComplex, faces, k: int) -> tuple[SkeletalComplex, Sphere]:
+def _checked(X: SkeletalComplex, faces, k: int,
+             budget_cells: int) -> tuple[SkeletalComplex, Sphere]:
     """A built counterexample with its designated k-sphere, once the complex
-    validates and the faces satisfy the cycle equations."""
+    validates and the faces satisfy the cycle equations.
+
+    Those checks read the cells of dimensions below k, so a dimension with
+    more than ``budget_cells`` cells, counted from the generators alone,
+    raises :class:`BudgetError` before any cell layer or table is built.
+    """
+    for d in range(k):
+        n_cells = sum(count_epis(d, g.dim, X.shape) for g in X.generators.values())
+        if n_cells > budget_cells:
+            raise BudgetError(f"{n_cells} cells in dimension {d} exceed the"
+                              f" budget of {budget_cells}")
     rep = X.validate()
     if not rep.ok:
         raise AssertionError(f"counterexample failed validation: {rep.violations}")
@@ -68,7 +80,7 @@ def _checked(X: SkeletalComplex, faces, k: int) -> tuple[SkeletalComplex, Sphere
     return X, s
 
 
-def _simplex_boundary(shape: str, n: int, truncation: int
+def _simplex_boundary(shape: str, n: int, truncation: int, budget_cells: int
                       ) -> tuple[SkeletalComplex, Sphere]:
     """The boundary of the (n + 1)-simplex, with the designated (n + 1)-sphere
     made of the faces of the missing top simplex: n-skeletal and not
@@ -88,10 +100,11 @@ def _simplex_boundary(shape: str, n: int, truncation: int
     gens = [GeneratorDecl(name(vs), d, faces(vs) if d else ())
             for d in range(n + 1) for vs in combinations(range(n + 2), d + 1)]
     X = SkeletalComplex(shape, n, gens, truncation=truncation)
-    return _checked(X, faces(tuple(range(n + 2))), n + 1)
+    return _checked(X, faces(tuple(range(n + 2))), n + 1, budget_cells)
 
 
-def build_cubical_counterexample(n: int, truncation: int | None = None
+def build_cubical_counterexample(n: int, truncation: int | None = None,
+                                 budget_cells: int = 10 ** 6
                                  ) -> tuple[SkeletalComplex, Sphere]:
     """One vertex plus two n-cubes on a fully degenerate boundary, with the
     designated 2n-sphere whose lower faces come from one cube and upper
@@ -101,7 +114,7 @@ def build_cubical_counterexample(n: int, truncation: int | None = None
     if truncation is None:
         truncation = 2 * n + 2
     if n == 0:
-        return _simplex_boundary("cubical", 0, truncation)
+        return _simplex_boundary("cubical", 0, truncation, budget_cells)
     vface = Cell("v", CubeMorphism(n - 1, 0, (), tuple(range(1, n))))
     gens = [GeneratorDecl("v", 0, ()),
             GeneratorDecl("x", n, (vface,) * (2 * n)),
@@ -114,7 +127,7 @@ def build_cubical_counterexample(n: int, truncation: int | None = None
     for i in range(1, k + 1):
         c = low if i <= n else high
         faces.extend([c, c])
-    return _checked(X, faces, k)
+    return _checked(X, faces, k, budget_cells)
 
 
 def _pattern_generators(n: int) -> list[GeneratorDecl]:
@@ -138,7 +151,8 @@ def _pattern_generators(n: int) -> list[GeneratorDecl]:
     return gens
 
 
-def build_simplicial_counterexample(n: int, truncation: int | None = None
+def build_simplicial_counterexample(n: int, truncation: int | None = None,
+                                    budget_cells: int = 10 ** 6
                                     ) -> tuple[SkeletalComplex, Sphere]:
     """The n-skeletal complex (n >= 3) that is not (2n - 2)-coskeletal,
     with its designated (2n - 1)-sphere built from degeneracies of the two
@@ -149,16 +163,17 @@ def build_simplicial_counterexample(n: int, truncation: int | None = None
     if truncation is None:
         truncation = 2 * n + 2
     if n < 3:
-        return _simplex_boundary("simplicial", n, truncation)
+        return _simplex_boundary("simplicial", n, truncation, budget_cells)
     X = SkeletalComplex("simplicial", n, _pattern_generators(n),
                         truncation=truncation)
     k = 2 * n - 1
     low = Cell("x", SimplexMorphism(k - 1, n, (), tuple(range(n - 2))))
     high = Cell("y", SimplexMorphism(k - 1, n, (), tuple(range(n, 2 * n - 2))))
-    return _checked(X, [low] * n + [high] * n, k)
+    return _checked(X, [low] * n + [high] * n, k, budget_cells)
 
 
-def build_globular_counterexample(n: int, truncation: int | None = None
+def build_globular_counterexample(n: int, truncation: int | None = None,
+                                  budget_cells: int = 10 ** 6
                                   ) -> tuple[SkeletalComplex, Sphere]:
     """Two parallel n-globs over a degenerate tower on one vertex; the
     designated (n + 1)-sphere is the unfillable pair (x, y).  For n = 0,
@@ -168,16 +183,18 @@ def build_globular_counterexample(n: int, truncation: int | None = None
     if truncation is None:
         truncation = n + 3
     if n == 0:
-        return _simplex_boundary("globular", 0, truncation)
+        return _simplex_boundary("globular", 0, truncation, budget_cells)
     bnd = Cell("v", GlobeMorphism(n - 1, 0, ("iot",) * (n - 1)))
     gens = [GeneratorDecl("v", 0, ()),
             GeneratorDecl("x", n, (bnd, bnd)),
             GeneratorDecl("y", n, (bnd, bnd))]
     X = SkeletalComplex("globular", n, gens, truncation=truncation)
-    return _checked(X, (X.generator_cell("x"), X.generator_cell("y")), n + 1)
+    return _checked(X, (X.generator_cell("x"), X.generator_cell("y")), n + 1,
+                    budget_cells)
 
 
-def build_cyclic_counterexample(n: int, truncation: int | None = None
+def build_cyclic_counterexample(n: int, truncation: int | None = None,
+                                budget_cells: int = 10 ** 6
                                 ) -> tuple[SkeletalComplex, Sphere]:
     """The free cyclic closure of the two-cell pattern, with a designated
     unfillable sphere: the (x, ..., y, ...) sphere for n >= 2, the vertex
@@ -189,13 +206,14 @@ def build_cyclic_counterexample(n: int, truncation: int | None = None
     X = SkeletalComplex("cyclic", n, _cyclic_pattern_generators(n),
                         truncation=truncation)
     if n == 1:
-        return _checked(X, (X.generator_cell("xp"), X.generator_cell("yp")), 1)
+        return _checked(X, (X.generator_cell("xp"), X.generator_cell("yp")), 1,
+                        budget_cells)
     k = 2 * n - 1
     low = Cell("x", CyclicMorphism(
         0, SimplexMorphism(k - 1, n, (), tuple(range(n - 2)))))
     high = Cell("y", CyclicMorphism(
         0, SimplexMorphism(k - 1, n, (), tuple(range(n, 2 * n - 2)))))
-    return _checked(X, [low] * n + [high] * n, k)
+    return _checked(X, [low] * n + [high] * n, k, budget_cells)
 
 
 def _cyclic_pattern_generators(n: int) -> list[GeneratorDecl]:
@@ -207,16 +225,17 @@ def _cyclic_pattern_generators(n: int) -> list[GeneratorDecl]:
     return out
 
 
-def build_counterexample(shape: str, n: int, truncation: int | None = None
+def build_counterexample(shape: str, n: int, truncation: int | None = None,
+                         budget_cells: int = 10 ** 6
                          ) -> tuple[SkeletalComplex, Sphere]:
     if shape == "cubical":
-        return build_cubical_counterexample(n, truncation)
+        return build_cubical_counterexample(n, truncation, budget_cells)
     if shape == "simplicial":
-        return build_simplicial_counterexample(n, truncation)
+        return build_simplicial_counterexample(n, truncation, budget_cells)
     if shape == "globular":
-        return build_globular_counterexample(n, truncation)
+        return build_globular_counterexample(n, truncation, budget_cells)
     if shape == "cyclic":
-        return build_cyclic_counterexample(n, truncation)
+        return build_cyclic_counterexample(n, truncation, budget_cells)
     raise ValueError(f"unknown shape {shape!r}")
 
 
@@ -400,7 +419,7 @@ def certify(shape: str, n: int, extra_complexes=(), seed: int = 0,
         if top is not None and top <= upper:
             raise ValueError(f"truncation {top} leaves no level above the"
                              f" claimed bound {upper} to check")
-    X, s = build_counterexample(shape, n, truncation)
+    X, s = build_counterexample(shape, n, truncation, budget_cells)
     config = (("shape", shape), ("n", n), ("seed", seed),
               ("extra_complexes", len(extra_complexes)),
               ("truncation", truncation if truncation is not None

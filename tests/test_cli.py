@@ -138,6 +138,26 @@ def test_usage_error_exit_2(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("shape", ["simplicial", "cubical", "cyclic"])
+@pytest.mark.parametrize("n", [16, 40])
+def test_counterexample_over_the_cell_budget_exit_2(capsys, shape, n):
+    # the designated sphere's faces lie in dimensions of far more than the
+    # default 10^6 cells (about 10^9 at n = 16, 10^23 at n = 40); they are
+    # counted, not built, and the refusal is one line
+    code, out, err = run(capsys, "counterexample", "--shape", shape, "--n", str(n))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "exceed the budget of 1000000" in err
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_globular_counterexample_stays_in_budget(capsys, n):
+    # one vertex and two n-globs have at most 3 cells in any dimension
+    code, out, err = run(capsys, "counterexample", "--shape", "globular", "--n", str(n))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"# designated {n + 1}-sphere: x, y"
+
+
 def test_help_exit_0(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0 and err == ""

@@ -16,6 +16,7 @@ from aufhebung.bounds import (
     simplicial_core,
     underlying_simplicial,
 )
+from aufhebung.complexes import BudgetError, SkeletalComplex
 from aufhebung.fillers import (
     brute_force_fill,
     coskeletal_up_to,
@@ -32,6 +33,25 @@ def test_builder_argument_guards():
         build_globular_counterexample(-1)
     with pytest.raises(ValueError):
         build_cyclic_counterexample(0)
+
+
+@pytest.mark.parametrize("shape,n,cells,dim", [
+    ("simplicial", 12, 1293293, 21), ("cubical", 12, 1293293, 22),
+    ("cyclic", 10, 1575306, 17), ("cubical", 2, 7, 3)])
+def test_builders_refuse_over_budget_before_building_cells(monkeypatch, shape, n, cells, dim):
+    # the first dimension below the designated sphere with more cells than
+    # the budget is refused from the generators alone, as tabulation would
+    # refuse it, before any cell layer exists
+    def no_layers(X, k):
+        raise AssertionError("a cell layer was built")
+
+    monkeypatch.setattr(SkeletalComplex, "cells_of_dim", no_layers)
+    budget = 10 ** 6 if n > 2 else 5
+    with pytest.raises(BudgetError, match=f"^{cells} cells in dimension {dim} exceed"
+                                          f" the budget of {budget}$"):
+        build_counterexample(shape, n, budget_cells=budget)
+    with pytest.raises(BudgetError, match=f"^{cells} cells in dimension {dim} "):
+        certify(shape, n, budget_cells=budget)
 
 
 @pytest.mark.parametrize("shape,n,sphere", [

@@ -28,7 +28,7 @@ from aufhebung.bounds import (
 from aufhebung.complexes import Cell, GeneratorDecl
 from aufhebung.fileio import serialize_complex
 from aufhebung.fillers import cell_literal, coskeletal_up_to
-from aufhebung.shapes import CubeMorphism
+from aufhebung.shapes import CubeMorphism, SimplexMorphism
 
 SHAPES = ("simplicial", "cubical", "globular", "cyclic")
 
@@ -108,14 +108,19 @@ def counting_membership(tested):
 
 
 def test_counted_spheres_skip_the_membership_test():
-    # 14^4 cubical 2-spheres on 13 loops: once the 16 smallest unfilled
-    # ones are kept, the rest of the last slot is counted, not looked up
+    # 14^4 cubical 2-spheres on 13 loops, 27 of them filled: the last slot
+    # is counted whole, and only the rows that can still hold one of the
+    # smallest unfilled spheres are built and looked up
     tab = loops("cubical", 13, 2).tabulate(2)
-    tested = []
-    with counting_membership(tested):
-        scan = _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2)
-    assert (scan.n_spheres, scan.n_missing, len(scan.missing)) == (14 ** 4, 14 ** 4 - 27, 16)
-    assert 0 < sum(tested) <= 2 * _kernels.BLOCK
+    F2, B = tab.faces[1], tab.faces[2]
+    for kw, most in ((dict(), 299),
+                     (dict(miss_cap=fillers.WITNESS_CAP), fillers.WITNESS_CAP + len(B))):
+        tested = []
+        with counting_membership(tested):
+            scan = _kernels.scan_spheres(F2, B, "cubical", 2, **kw)
+        assert (scan.n_spheres, scan.n_missing, len(scan.missing)) == \
+            (14 ** 4, 14 ** 4 - 27, kw.get("miss_cap", 16))
+        assert 0 < sum(tested) <= most
 
 
 def counting_calls(names, calls):
@@ -170,19 +175,37 @@ def test_witness_cells_formatted_once_per_level(shape):
 def test_counted_spheres_against_reference_with_stray_rows():
     # two loops at v and an edge f from v to w: a boundary table with a
     # duplicate row and a row that breaks a cycle equation, read at every
-    # budget, so cuts fall before, inside and after the counted part
-    v, w = (Cell(name, CubeMorphism.identity(0)) for name in "vw")
-    X = loops("cubical", 2, 2, [GeneratorDecl("w", 0, ()), GeneratorDecl("f", 1, (v, w))])
+    # budget, so cuts fall before, inside and after the built part; the
+    # last planned slot L is the last slot of a cubical 2-sphere, and d_1,
+    # between d_0 and d_2, of a simplicial one
+    stray_rows_against_reference("cubical", CubeMorphism.identity(0))
+    stray_rows_against_reference("simplicial", SimplexMorphism.identity(0))
+
+
+def stray_rows_against_reference(shape, vertex):
+    """The stray-rows check of the 2-spheres of ``shape``, whose vertices
+    have the identity ``vertex``."""
+    v, w = (Cell(name, vertex) for name in "vw")
+    X = loops(shape, 2, 2, [GeneratorDecl("w", 0, ()), GeneratorDecl("f", 1, (v, w))])
     tab = X.tabulate(2)
     F2, B = tab.faces[1], tab.faces[2]
-    spheres = reference_scan(F2, empty_table("cubical", 2), "cubical", 2,
+    order = _kernels.plan_slots(shape, 2)[0]
+    spheres = reference_scan(F2, empty_table(shape, 2), shape, 2,
                              miss_cap=10 ** 4).missing
     every = {tuple(map(int, r)) for r in spheres}
     n = len(spheres)
-    stray = next(r for r in np.ndindex(*(len(F2),) * 4) if r not in every)
+    stray = next(r for r in np.ndindex(*(len(F2),) * len(order)) if r not in every)
     B = np.concatenate([B, B[-1:], B[:1], [stray]]).astype(np.int32)
+    # the m-th smallest unfilled sphere ties with the next on slots
+    # 0..L-1 for some miss_cap m below, and some last-slot row has more
+    # candidates than a block of 1, so chunk cuts fall inside rows
+    unfilled = reference_scan(F2, B, shape, 2, miss_cap=10 ** 4).missing
+    L = order[-1]
+    assert any(np.array_equal(unfilled[m - 1, :L], unfilled[m, :L]) for m in range(1, 5))
+    assert any(len(cands) > 1 for placed, cands in reference_prefixes(F2, shape, 2, order)
+               if len(placed) == len(order) - 1)
     for block in (1, 3, _kernels.BLOCK):
-        for miss_cap in (0, 1, 4):
+        for miss_cap in range(5):
             # (some spheres counted without a lookup, budget cut) per scan
             seen = set()
             for budget in range(1, n + 2):
@@ -190,11 +213,11 @@ def test_counted_spheres_against_reference_with_stray_rows():
                 tested = []
                 with mock.patch.object(_kernels, "BLOCK", block), \
                         counting_membership(tested):
-                    got = _kernels.scan_spheres(F2, B, "cubical", 2, **kw)
-                assert_same_scan(got, reference_scan(F2, B, "cubical", 2, **kw))
+                    got = _kernels.scan_spheres(F2, B, shape, 2, **kw)
+                assert_same_scan(got, reference_scan(F2, B, shape, 2, **kw))
                 seen.add((sum(tested) < got.n_spheres, got.overflow))
             # blocks smaller than the level: cuts before, inside and after
-            # the counted part
+            # the built part
             if block < n and miss_cap:
                 assert seen == {(False, True), (True, True), (True, False)}
 
@@ -464,11 +487,10 @@ def test_random_complexes_unchanged():
 
 # sha256 of coskeletal_up_to(loops(shape, m, top), 1, top, budget_spheres=b)
 # .to_json(), keyed (shape, b), for the dense scans of the benchmark: 13
-# cubical loops over (1, 2] and 30 simplicial loops over (1, 3].  Budget
-# 1000 cuts level 2 in the block the scan looks up, 38415 (29790) in the
-# part it counts from range sizes, one short of all 14^4 (31^3) spheres,
-# and 38416 (29791) and 10^6 cut nothing.  Recorded before the scan
-# counted its last slot.
+# cubical loops over (1, 2] and 30 simplicial loops over (1, 3].  Budgets
+# 1000 and 38415 (29790) cut level 2, the second one short of all 14^4
+# (31^3) spheres, and 38416 (29791) and 10^6 cut nothing.  Recorded
+# before the scan counted its last slot.
 LOOP_REPORT_SHA256 = {
     ('cubical', 1000000): '443b49e0b9d01bd18e811388a51369ff3dc61bbe21ae2c855629f8242c46b404',
     ('cubical', 1000): 'ecd25427e85bc6994621477e430e9132c5d30d0f893c11276fdbfb05e5c8413a',
