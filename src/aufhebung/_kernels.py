@@ -153,10 +153,6 @@ def duplicate_row_groups(B: np.ndarray) -> list[np.ndarray]:
 
 def find_fillers(B: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Ids of cells whose full boundary row equals ``row``."""
-    if B.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if B.shape[1] == 0:
-        return np.arange(B.shape[0], dtype=np.int64)
     return np.nonzero(np.all(B == row[None, :], axis=1))[0]
 
 

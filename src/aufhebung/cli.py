@@ -126,11 +126,13 @@ def cmd_validate(args) -> int:
 def cmd_fill(args) -> int:
     X = _load_valid(args.file)
     s = fileio.parse_sphere(X, args.sphere)
+    # fill first: it tabulates under the budget, and is_sphere reads a
+    # face table that it would build with none
+    res = fillers.brute_force_fill(X, s, budget_cells=args.budget_cells)
     ok, why = fillers.is_sphere(X, s)
     if not ok:
         print(f"not a sphere: {why}")
         return 2
-    res = fillers.brute_force_fill(X, s, budget_cells=args.budget_cells)
     con = fillers.constructive_filler(X, s, trace=args.trace)
     if con.status == "filled" and con.filler not in res.witnesses:
         raise fillers.AlgorithmViolation(
@@ -216,9 +218,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except (fileio.ParseError, shapes.ShapeError, shapes.DomainError,
-            fillers.SphereError, ValueError, OSError,
-            complexes.BudgetError) as exc:
+    except (ValueError, OSError, complexes.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

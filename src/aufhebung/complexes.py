@@ -500,9 +500,11 @@ class CellLayer(Sequence):
     The cells over each generator g, in declaration order, are g acted on
     by the canonical epis [k] ->> [dim g] in rank order, the order of
     :func:`shapes.enumerate_epis`.  So a cell's id is ``offset[g]`` plus
-    the rank of its epi; ``layer[i]`` builds the one cell with id i, and
-    nothing per cell is stored.  ``starts`` holds the offsets again as a
-    read-only array, by declaration position, for the face-table gathers.
+    the rank of its epi; ``layer[i]`` builds the one cell with id i,
+    unranking its epi by formula with :func:`shapes.epi_of_rank`, and
+    nothing per cell or per epi is stored.  ``starts`` holds the offsets
+    again as a read-only array, by declaration position, for the
+    face-table gathers.
     Read-only and built in O(generators).
     """
 

@@ -278,31 +278,17 @@ class CubeMorphism:
 # globular
 
 
-def _reduce_globe_word(word: tuple[str, ...]) -> tuple[str, ...]:
-    """Rewrite a sig/tau/iot word to normal form sig^a [tau] iot^b.
+def _globe_counts(word: tuple[str, ...]) -> tuple[int, bool, int]:
+    """The rises (sig or tau), whether the last rise is tau, and the iots
+    of a word in normal form sig^a [tau] iot^b."""
+    iots = word.count("iot")
+    rises = len(word) - iots
+    return rises, rises > 0 and word[rises - 1] == "tau", iots
 
-    Rules applied at the leftmost-innermost redex until none remain:
-    tau.sig -> sig.sig, tau.tau -> sig.tau, iot.sig -> (), iot.tau -> ().
-    """
-    w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(w) - 1):
-            a, b = w[k], w[k + 1]
-            if a == "iot" and b in ("sig", "tau"):
-                del w[k:k + 2]
-                changed = True
-                break
-            if a == "tau" and b == "sig":
-                w[k] = "sig"
-                changed = True
-                break
-            if a == "tau" and b == "tau":
-                w[k] = "sig"
-                changed = True
-                break
-    return tuple(w)
+
+def _globe_word(rises: int, tau: bool, iots: int) -> tuple[str, ...]:
+    """The normal form with these counts; ``tau`` needs a rise."""
+    return ("sig",) * (rises - tau) + ("tau",) * tau + ("iot",) * iots
 
 
 @dataclass(frozen=True)
@@ -321,20 +307,17 @@ class GlobeMorphism:
     def __post_init__(self) -> None:
         if self.dom < 0 or self.cod < 0:
             raise ShapeError("negative globe dimension")
-        if self.word != _reduce_globe_word(self.word):
-            raise ShapeError(f"word {self.word!r} is not in normal form")
-        n = self.dom
-        for g in reversed(self.word):
-            if g == "iot":
-                if n == 0:
-                    raise ShapeError("iot applied at level 0")
-                n -= 1
-            elif g in ("sig", "tau"):
-                n += 1
-            else:
+        for g in self.word:
+            if g not in ("sig", "tau", "iot"):
                 raise ShapeError(f"unknown globe generator {g!r}")
-        if n != self.cod:
-            raise ShapeError(f"word maps {self.dom} to {n}, not {self.cod}")
+        rises, tau, iots = _globe_counts(self.word)
+        if self.word != _globe_word(rises, tau, iots):
+            raise ShapeError(f"word {self.word!r} is not in normal form")
+        if iots > self.dom:
+            raise ShapeError("iot applied at level 0")
+        if self.dom - iots + rises != self.cod:
+            raise ShapeError(
+                f"word maps {self.dom} to {self.dom - iots + rises}, not {self.cod}")
 
     @property
     def shape(self) -> str:
@@ -554,7 +537,12 @@ def compose(f: ShapeMorphism, g: ShapeMorphism) -> ShapeMorphism:
             out.append(("c", v) if kind == "c" else inner[v - 1])
         return CubeMorphism.from_coords(g.dom, out)
     if isinstance(f, GlobeMorphism):
-        word = _reduce_globe_word(f.word + g.word)
+        # f's iots cancel g's first rises; of the rises left, only the
+        # last can be tau (tau.sig = sig.sig, tau.tau = sig.tau)
+        (u1, tau1, b1), (u2, tau2, b2) = _globe_counts(f.word), _globe_counts(g.word)
+        cancelled = min(b1, u2)
+        word = _globe_word(u1 + u2 - cancelled, tau2 if u2 > b1 else tau1,
+                           b1 - cancelled + b2)
         return GlobeMorphism(g.dom, f.cod, word)
     if isinstance(f, CyclicMorphism):
         vals = tuple(f.lift(g.lift(x)) for x in range(g.dom + 1))
@@ -669,37 +657,29 @@ def epi_mono_factor(f: ShapeMorphism) -> tuple[ShapeMorphism, ShapeMorphism]:
     raise ShapeError(f"unknown morphism type {type(f)!r}")
 
 
-@lru_cache(maxsize=None)
-def _epi_keys(shape: str, n: int, m: int) -> tuple:
-    """Integer data of the epis [n] ->> [m], in rank order.
-
-    Ordinals: the degeneracy indices; cubes: the deleted coordinates,
-    0-based; globes: (); cyclic: (rotation, degeneracy indices).  The
-    rank order is the order of :func:`enumerate_epis` and so of the cells
-    over a generator.
-    """
-    if m > n or m < 0:
-        return ()
-    if shape in ("simplicial", "cubical"):
-        return tuple(combinations(range(n), n - m))
-    if shape == "globular":
-        return ((),)
-    if shape == "cyclic":
-        return tuple((r, js) for r in range(n + 1) for js in combinations(range(n), n - m))
-    raise ShapeError(f"unknown shape {shape!r}")
-
-
 def epi_of_rank(shape: str, n: int, m: int, rank: int) -> ShapeMorphism:
-    """The canonical epi [n] ->> [m] at position ``rank`` of :func:`enumerate_epis`."""
-    key = _epi_keys(shape, n, m)[rank]
-    if shape == "simplicial":
-        return SimplexMorphism(n, m, (), key)
-    if shape == "cubical":
-        return CubeMorphism(n, m, (), tuple(d + 1 for d in key))
+    """The canonical epi [n] ->> [m] at position ``rank`` of :func:`enumerate_epis`,
+    read off the rank by inverting :func:`epi_rank`'s formula; IndexError
+    for a rank outside [0, count_epis(n, m, shape))."""
+    count = count_epis(n, m, shape)
+    if not 0 <= rank < count:
+        raise IndexError(f"epi rank {rank} out of range for {count} epis [{n}] ->> [{m}]")
     if shape == "globular":
         return GlobeMorphism(n, m, ("iot",) * (n - m))
-    r, js = key
-    return CyclicMorphism(r, SimplexMorphism(n, m, (), js))
+    t = n - m
+    rotation, rank = divmod(rank, comb(n, t))
+    # invert rest = sum_i C(n - 1 - c_i, t - i), each c_i the least that fits
+    rest, members, c = comb(n, t) - 1 - rank, [], 0
+    for i in range(t):
+        while comb(n - 1 - c, t - i) > rest:
+            c += 1
+        rest -= comb(n - 1 - c, t - i)
+        members.append(c)
+        c += 1
+    if shape == "cubical":
+        return CubeMorphism(n, m, (), tuple(d + 1 for d in members))
+    f = SimplexMorphism(n, m, (), tuple(members))
+    return CyclicMorphism(rotation, f) if shape == "cyclic" else f
 
 
 def enumerate_epis(n: int, m: int, shape: str) -> list[ShapeMorphism]:
@@ -709,8 +689,7 @@ def enumerate_epis(n: int, m: int, shape: str) -> list[ShapeMorphism]:
     binomial(n, n - m); for the cyclic category each choice additionally
     carries one of n + 1 rotations.
     """
-    return [epi_of_rank(shape, n, m, rank)
-            for rank in range(len(_epi_keys(shape, n, m)))]
+    return [epi_of_rank(shape, n, m, rank) for rank in range(count_epis(n, m, shape))]
 
 
 def enumerate_monos(m: int, n: int, shape: str) -> list[ShapeMorphism]:
@@ -777,14 +756,15 @@ def sections_of(epi: ShapeMorphism) -> list[ShapeMorphism]:
 # integer epi tables
 #
 # The k-cells over a generator of dimension m are its epis [k] ->> [m], in
-# the order of :func:`_epi_keys`; an epi's *rank* is its position there.
+# the order of :func:`enumerate_epis`; an epi's *rank* is its position there.
 # An ordinal epi is the boolean row of its merge set, the j with f(j) =
 # f(j + 1), and a cube epi the row of its delete set, 0-based.  A set
 # c_0 < ... < c_{t-1} of 0..n-1 has the lexicographic rank C(n, t) - 1 -
-# sum_i C(n - 1 - c_i, t - i) (Knuth, TAOCP 4A, 7.2.1.3).  A cyclic epi is
-# a rotation followed by an ordinal epi, uniquely (Connes 1983; Loday,
-# *Cyclic Homology*, 6.1), so its rank is rotation * C(n, t) + the ordinal
-# rank, and the cyclic tables are the simplicial ones re-indexed.
+# sum_i C(n - 1 - c_i, t - i) (Knuth, TAOCP 4A, 7.2.1.3), and
+# :func:`epi_of_rank` inverts it, taking each c_i as the least that fits.  A
+# cyclic epi is a rotation followed by an ordinal epi, uniquely (Connes
+# 1983; Loday, *Cyclic Homology*, 6.1), so its rank is rotation * C(n, t) +
+# the ordinal rank, and the cyclic tables are the simplicial ones re-indexed.
 
 
 def epi_rank(f: ShapeMorphism) -> int:
@@ -813,7 +793,7 @@ def _rank(rows: np.ndarray) -> np.ndarray:
 
 def _rows(n: int, m: int) -> np.ndarray:
     """The merge (ordinals) or delete (cubes) rows of the epis [n] ->> [m]."""
-    members = np.array(_epi_keys("simplicial", n, m), np.intp)
+    members = np.array(list(combinations(range(n), n - m)), np.intp)
     rows = np.zeros((len(members), n), bool)
     rows[np.arange(len(members))[:, None], members] = True
     return rows

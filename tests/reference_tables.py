@@ -17,8 +17,13 @@ exhaustive search, independently of the structural representation the
 package uses.  :func:`reference_split_lift` finds the rotation of a cyclic
 lift window by trying every rotation, where the package reads it off in
 closed form; it reads the lift at any integer with :func:`_lift_at`.
-None of this is used by the package.
+:func:`reference_epi_keys` lists the epis' integer data in rank order,
+where the package unranks by formula, and :func:`reference_globe_word`
+rewrites a globe word until no rule applies, where the package composes
+normal forms by counting.  None of this is used by the package.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -113,6 +118,52 @@ def reference_split_lift(dom: int, cod: int, vals: tuple[int, ...]) -> tuple[int
     if len(matches) != 1:
         raise ShapeError(f"lift does not determine a unique rotation: {matches!r}")
     return matches[0]
+
+
+def reference_epi_keys(shape: str, n: int, m: int) -> tuple:
+    """Integer data of the epis [n] ->> [m], in rank order.
+
+    Ordinals: the degeneracy indices; cubes: the deleted coordinates,
+    0-based; globes: (); cyclic: (rotation, degeneracy indices).  The
+    rank order is the order of :func:`enumerate_epis` and so of the cells
+    over a generator.
+    """
+    if m > n or m < 0:
+        return ()
+    if shape in ("simplicial", "cubical"):
+        return tuple(combinations(range(n), n - m))
+    if shape == "globular":
+        return ((),)
+    if shape == "cyclic":
+        return tuple((r, js) for r in range(n + 1) for js in combinations(range(n), n - m))
+    raise ShapeError(f"unknown shape {shape!r}")
+
+
+def reference_globe_word(word: tuple[str, ...]) -> tuple[str, ...]:
+    """Rewrite a sig/tau/iot word to normal form sig^a [tau] iot^b.
+
+    Rules applied at the leftmost-innermost redex until none remain:
+    tau.sig -> sig.sig, tau.tau -> sig.tau, iot.sig -> (), iot.tau -> ().
+    """
+    w = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(w) - 1):
+            a, b = w[k], w[k + 1]
+            if a == "iot" and b in ("sig", "tau"):
+                del w[k:k + 2]
+                changed = True
+                break
+            if a == "tau" and b == "sig":
+                w[k] = "sig"
+                changed = True
+                break
+            if a == "tau" and b == "tau":
+                w[k] = "sig"
+                changed = True
+                break
+    return tuple(w)
 
 
 def face_maps(X, k) -> list[ShapeMorphism]:

@@ -78,6 +78,26 @@ def test_fill_rejects_non_sphere(tmp_path, capsys):
     assert code == 2 and "not a sphere" in out
 
 
+def test_fill_budget_applies_before_any_face_table(tmp_path, capsys, monkeypatch):
+    # one vertex and five loops have six 1-cells: over a budget of three,
+    # the fill stops before it reads the faces of any of them
+    p = tmp_path / "loops.complex"
+    p.write_text("shape cubical\nskeletal 1\ngen v dim 0\n"
+                 + "".join(f"gen e{i} dim 1 faces v v\n" for i in range(5)))
+    built = []
+    face_table = cli.complexes.SkeletalComplex._face_table
+
+    def spy(self, k):
+        built.append(k)
+        return face_table(self, k)
+
+    monkeypatch.setattr(cli.complexes.SkeletalComplex, "_face_table", spy)
+    code, out, err = run(capsys, "fill", str(p), "e0, e1, e2, e3", "--budget-cells", "3")
+    assert (code, out, built) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "6 cells in dimension 1 exceed the budget of 3" in err
+
+
 def test_coskeletal_exit_codes(tmp_path, capsys):
     path = tmp_path / "ce.complex"
     run(capsys, "counterexample", "--shape", "cubical", "--n", "1",

@@ -1,6 +1,9 @@
 """Reflexive-globe algebra: word reduction, empirical confluence, semantics."""
 
+from itertools import product
+
 import pytest
+from reference_tables import reference_globe_word
 
 from aufhebung.shapes import (
     GlobeMorphism,
@@ -175,3 +178,46 @@ def test_enumerate():
 def test_iot_at_level_zero_rejected():
     with pytest.raises(ShapeError):
         gen("iot", 0)
+
+
+def _normal_forms(top):
+    """Every globe normal form sig^a [tau] iot^b with dom, cod <= top."""
+    return [GlobeMorphism(dom, dom - b + rises, ("sig",) * (rises - tau)
+                          + ("tau",) * tau + ("iot",) * b)
+            for dom in range(top + 1) for b in range(dom + 1)
+            for rises in range(top + b - dom + 1) for tau in (0, 1) if rises or not tau]
+
+
+def test_compose_by_counting_matches_rewriting():
+    forms = _normal_forms(5)
+    assert len(forms) == 161
+    pairs = 0
+    for f, g in product(forms, repeat=2):
+        if g.cod == f.dom:
+            assert compose(f, g).word == reference_globe_word(f.word + g.word)
+            pairs += 1
+    assert pairs == 4970
+
+
+def test_word_checks():
+    # every word of up to four letters, at every domain level: a word that
+    # rewriting would change is refused, and a normal word is checked for
+    # its levels
+    for length in range(5):
+        for word in product(("sig", "tau", "iot"), repeat=length):
+            iots = word.count("iot")
+            rises = length - iots
+            for dom in range(4):
+                cod = max(dom - iots + rises, 0)
+                if reference_globe_word(word) != word:
+                    with pytest.raises(ShapeError, match="not in normal form"):
+                        GlobeMorphism(dom, cod, word)
+                elif iots > dom:
+                    with pytest.raises(ShapeError, match="iot applied at level 0"):
+                        GlobeMorphism(dom, cod, word)
+                else:
+                    assert GlobeMorphism(dom, cod, word).word == word
+                    with pytest.raises(ShapeError, match="word maps"):
+                        GlobeMorphism(dom, cod + 1, word)
+    with pytest.raises(ShapeError, match="unknown globe generator 'foo'"):
+        GlobeMorphism(1, 2, ("tau", "sig", "foo"))

@@ -594,3 +594,7 @@ def test_find_fillers():
     B = np.array([[1, 2], [3, 4], [1, 2]], dtype=np.int32)
     assert list(_kernels.find_fillers(B, np.array([1, 2], np.int32))) == [0, 2]
     assert list(_kernels.find_fillers(B, np.array([9, 9], np.int32))) == []
+    # no cells, or cells with no faces: none fills, or every one does
+    for B, filled in ((np.zeros((0, 2), np.int32), []), (np.zeros((3, 0), np.int32), [0, 1, 2])):
+        ids = _kernels.find_fillers(B, np.zeros(B.shape[1], np.int32))
+        assert ids.dtype == np.int64 and list(ids) == filled

@@ -18,6 +18,7 @@ from reference_tables import (
     act_face_table,
     face_maps,
     reference_act,
+    reference_epi_keys,
 )
 
 from aufhebung import _kernels, complexes
@@ -332,6 +333,29 @@ def test_shape_tables_match_morphism_algebra():
                     for i, first in enumerate(firsts):
                         for t, then in enumerate(thens):
                             assert table[i, t] == epi_rank(compose(then, first))
+
+
+def _epi_key(f):
+    """An epi's integer data as :func:`reference_epi_keys` lists it."""
+    if f.shape == "cyclic":
+        return (f.rotation, f.delta_part.epis)
+    if f.shape == "cubical":
+        return tuple(d - 1 for d in f.deletes)
+    return () if f.shape == "globular" else f.epis
+
+
+def test_epi_unranking_matches_key_order():
+    # the closed-form unranking lists the epis in the order of the key
+    # tuples, epi_rank inverts it, and a rank outside the layer is refused
+    for shape in SHAPES:
+        for n in range(10):
+            for m in range(n + 2):
+                epis = enumerate_epis(n, m, shape)
+                assert [_epi_key(f) for f in epis] == list(reference_epi_keys(shape, n, m))
+                assert [epi_rank(f) for f in epis] == list(range(count_epis(n, m, shape)))
+                for rank in (-1, len(epis)):
+                    with pytest.raises(IndexError):
+                        epi_of_rank(shape, n, m, rank)
 
 
 def test_shape_tables_build_no_morphisms(monkeypatch):
