@@ -133,22 +133,14 @@ def _lex_order(A: np.ndarray) -> np.ndarray:
 
 
 def duplicate_row_groups(B: np.ndarray) -> list[np.ndarray]:
-    """Groups of row indices of B sharing an identical row (size >= 2)."""
-    if B.shape[0] == 0:
-        return []
-    if B.shape[1] == 0:
-        return [np.arange(B.shape[0])] if B.shape[0] >= 2 else []
-    order = _lex_order(B)
+    """Groups of row indices of B sharing an identical row (size >= 2), in
+    lexicographic order of the row.  The sort is stable, so each group's
+    indices come ascending."""
+    order = _lex_order(B) if B.shape[1] else np.arange(B.shape[0])
     S = B[order]
-    same = np.all(S[1:] == S[:-1], axis=1)
-    groups = []
-    start = 0
-    for i in range(1, len(S) + 1):
-        if i == len(S) or not same[i - 1]:
-            if i - start >= 2:
-                groups.append(np.sort(order[start:i]))
-            start = i
-    return groups
+    edges = np.concatenate(
+        ([0], np.flatnonzero(np.any(S[1:] != S[:-1], axis=1)) + 1, [len(S)]))
+    return [order[edges[i]:edges[i + 1]] for i in np.flatnonzero(np.diff(edges) >= 2)]
 
 
 def find_fillers(B: np.ndarray, row: np.ndarray) -> np.ndarray:

@@ -319,6 +319,8 @@ def random_skeletal_complex(shape: str, n: int, seed: int,
     partial complex one dimension down, sampled slot by slot with the
     cycle equations enforced by constraint propagation.
     """
+    if n < 0:
+        raise ValueError("a random complex needs n >= 0")
     if truncation is None:
         truncation = 2 * n + 2
     rng = np.random.RandomState(seed)
@@ -327,8 +329,8 @@ def random_skeletal_complex(shape: str, n: int, seed: int,
         GeneratorDecl(f"g0_{i}", 0, ()) for i in range(counts[0])]
     for d in range(1, n + 1):
         partial = SkeletalComplex(shape, d - 1, gens, truncation=truncation)
-        tab = partial.tabulate(d - 1)
-        layer, index = tab.cells[d - 1], _kernels.join_index(tab.faces[d - 1], shape, d)
+        layer = partial.tabulate(d - 1).cells[d - 1]
+        index = _kernels.join_index(partial.face_table(d - 1), shape, d)
         for i in range(counts[d]):
             rows = _kernels.sample_spheres(index, 1, int(rng.randint(2 ** 31)),
                                            max_tries=max_tries)

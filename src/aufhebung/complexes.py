@@ -9,15 +9,16 @@ normal form is structural rather than computed.
 :class:`CellLayer` numbers the k-cells without storing them: a cell's id
 is its generator's offset plus the rank of its epi, so the layer computes
 a cell from its id and an id from its cell.  The faces of every cell are
-read from the complex's face tables, built once per dimension:
-:meth:`SkeletalComplex.faces`, the cycle equations of validation and
-``is_sphere``, and :class:`TabulatedPresheaf`, the input of the sphere
-scan, all read them.  A table is gathered from the shape's integer
-face-step and epi-composition tables in a few numpy steps per generator
-dimension, whatever the number of generators: the complex plans each
-dimension's gather once, ranking every generator face's epi a single
-time, and each table reads the plans of the dimensions at or below its
-own.
+read from :meth:`SkeletalComplex.face_table`, one table per dimension,
+built when first read and kept: :meth:`SkeletalComplex.faces`, the cycle
+equations of validation and ``is_sphere``, and the sphere scan, which
+reads the two tables of the level it checks, all read them;
+:class:`TabulatedPresheaf` holds only cell layers.  A table is gathered
+from the shape's integer face-step and epi-composition tables in a few
+numpy steps per generator dimension, whatever the number of generators:
+the complex plans each dimension's gather once, ranking every generator
+face's epi a single time, and each table reads the plans of the
+dimensions at or below its own.
 
 The contravariant action :meth:`SkeletalComplex.act` serves what the face
 tables do not hold: degeneracies and sections.  It composes the morphism
@@ -256,7 +257,7 @@ class SkeletalComplex:
         if not any(cons):
             return
         layer = self.cells_of_dim(k - 1)
-        rows = self._face_table(k - 1)[[layer.index(c) for c in faces]].tolist()
+        rows = self.face_table(k - 1)[[layer.index(c) for c in faces]].tolist()
         for new, row in enumerate(cons):
             for prev, a, b in row:
                 if rows[new][a] != rows[prev][b]:
@@ -268,7 +269,7 @@ class SkeletalComplex:
         k = cell.dim
         if k < 1:
             raise ComplexError("a 0-cell has no faces")
-        row = self._face_table(k)[self.cells_of_dim(k).index(cell)]
+        row = self.face_table(k)[self.cells_of_dim(k).index(cell)]
         below = self.cells_of_dim(k - 1)
         return tuple(below[i] for i in row.tolist())
 
@@ -299,7 +300,7 @@ class SkeletalComplex:
         # the generator's own cell has the identity epi, of rank 0
         i = self.cells_of_dim(k).offset[cell.generator]
         for col in columns:
-            i = self._face_table(k)[i, col]
+            i = self.face_table(k)[i, col]
             k -= 1
         base = self.cells_of_dim(k)[i]
         return Cell(base.generator, compose(base.epi, epi))
@@ -423,9 +424,13 @@ class SkeletalComplex:
                  for c, entries in faces.items()})
         return plan
 
-    def _face_table(self, k: int) -> np.ndarray:
-        """The read-only int32 table of the k-cells' face ids, built once.
+    def face_table(self, k: int) -> np.ndarray:
+        """The read-only int32 table of the k-cells' face ids, built when
+        first read and memoised.
 
+        Row i holds the face ids of the cell with id i in sphere slot
+        order: d_0, ..., d_k for simplicial and cyclic cells; a^0_1,
+        a^1_1, ..., a^0_k, a^1_k for cubes; source and target for globes.
         The rows of the generators of one dimension m are one gather from
         the shape's integer tables, over a ``targets`` array of shape
         (generators, 1 + faces, W).  Row 0 holds the ids of each
@@ -552,22 +557,19 @@ class CellLayer(Sequence):
 
 @dataclass
 class TabulatedPresheaf:
-    """Dense face tables for all cells of a complex up to a dimension.
+    """The cell layers of a complex up to a dimension, within its
+    truncation and a cell budget.
 
     ``cells[k]`` is the :class:`CellLayer` of the k-cells: a cell's id is
-    its position there, and ``cells[k].index(c)`` gives it back.
-    ``faces[k]`` is a read-only int32 array of shape (N_k, slots) giving
-    the id of each elementary face of each k-cell, in sphere slot order:
-    d_0, ..., d_k for simplicial and cyclic cells; a^0_1, a^1_1, ...,
-    a^0_k, a^1_k for cubes; source and target for globes.  The tables are the
-    complex's own memos, so tabulating one complex again, to any height,
-    builds only the tables it has not built before.
+    its position there, and ``cells[k].index(c)`` gives it back.  The
+    face tables over those ids are read with
+    :meth:`SkeletalComplex.face_table`, each built when first read, so
+    tabulation itself builds no table.
     """
 
     complex: SkeletalComplex
     up_to: int
     cells: list[CellLayer]
-    faces: list[np.ndarray]
 
     @classmethod
     def build(cls, X: SkeletalComplex, up_to: int,
@@ -581,4 +583,4 @@ class TabulatedPresheaf:
                 raise BudgetError(
                     f"{len(layer)} cells in dimension {k} exceed the budget"
                     f" of {budget_cells}")
-        return cls(X, up_to, cells, [X._face_table(k) for k in range(up_to + 1)])
+        return cls(X, up_to, cells)

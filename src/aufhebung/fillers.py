@@ -361,7 +361,7 @@ def brute_force_fill(X: SkeletalComplex, s: Sphere,
         raise TruncationError(f"sphere dimension {k} exceeds truncation")
     tab = X.tabulate(k, budget_cells=budget_cells)
     row = np.array([tab.cells[k - 1].index(c) for c in s.faces], dtype=np.int32)
-    ids = _kernels.find_fillers(tab.faces[k], row)
+    ids = _kernels.find_fillers(X.face_table(k), row)
     witnesses = tuple(tab.cells[k][int(i)] for i in ids)
     if len(witnesses) == 1:
         return FillResult("filled", filler=witnesses[0], witnesses=witnesses)
@@ -478,8 +478,7 @@ def coskeletal_up_to(X: SkeletalComplex, k_min: int, upper: int,
 
 
 def _check_level(X, tab, k, budget_spheres) -> LevelReport:
-    F2 = tab.faces[k - 1]
-    B = tab.faces[k]
+    F2, B = X.face_table(k - 1), X.face_table(k)
     n_cells = B.shape[0]
     if F2.shape[0] == 0:
         return LevelReport(k, n_cells, 0, "vacuous", 0, 0, (), ())

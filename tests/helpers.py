@@ -46,15 +46,14 @@ def empty_table(shape, k):
 
 def enumerate_spheres(X, k, budget=10 ** 5):
     """All k-spheres of ``X`` in scan order, for oracle sweeps."""
-    tab = X.tabulate(k)
-    F2 = tab.faces[k - 1]
+    F2 = X.face_table(k - 1)
     if F2.shape[0] == 0:
         return []
     scan = scan_spheres(F2, empty_table(X.shape, k), X.shape, k,
                         budget=budget, miss_cap=budget)
     if scan.overflow:
         raise RuntimeError(f"sphere enumeration at k={k} exceeded the budget {budget}")
-    return [Sphere(X.shape, k, tuple(tab.cells[k - 1][int(i)] for i in row))
+    return [Sphere(X.shape, k, tuple(X.cells_of_dim(k - 1)[int(i)] for i in row))
             for row in scan.missing]
 
 

@@ -11,8 +11,10 @@ tests compare the numpy join kernel against it.
 
 :func:`reference_is_sphere` states the cycle equations a second time, by
 hand and through ``reference_tables.reference_act``, so that ``build_constraints`` and the kernel
-are checked against a statement that does not come from it.  None of this
-is used by the package.
+are checked against a statement that does not come from it.
+:func:`reference_duplicate_row_groups` finds the repeated rows of a table,
+the multi-filled spheres of a level, by walking its sorted rows one at a
+time.  None of this is used by the package.
 """
 
 from itertools import islice
@@ -114,6 +116,26 @@ def reference_sample(F2, shape, k, n_samples, seed, max_tries=None):
         else:
             found.add(prefix)
     return sorted(found)
+
+
+def reference_duplicate_row_groups(B):
+    """Groups of row indices of B sharing an identical row (size >= 2),
+    found by walking the lexicographically sorted rows one at a time."""
+    if B.shape[0] == 0:
+        return []
+    if B.shape[1] == 0:
+        return [np.arange(B.shape[0])] if B.shape[0] >= 2 else []
+    order = np.lexsort(B.T[::-1])
+    S = B[order]
+    same = np.all(S[1:] == S[:-1], axis=1)
+    groups = []
+    start = 0
+    for i in range(1, len(S) + 1):
+        if i == len(S) or not same[i - 1]:
+            if i - start >= 2:
+                groups.append(np.sort(order[start:i]))
+            start = i
+    return groups
 
 
 def reference_is_sphere(X, s):

@@ -1,6 +1,6 @@
-"""Test-side oracle tables for ``TabulatedPresheaf``.
+"""Test-side oracle tables for ``SkeletalComplex.face_table``.
 
-The package tabulates face tables only, the input of the sphere scan, and
+The package builds face tables only, the input of the sphere scan, and
 gathers them from the shape's integer face-step and epi-composition
 tables.  :func:`reference_act` is the cell action that reads the
 generators' attaching data and no table: it pushes the mono part of a
@@ -214,7 +214,8 @@ class ReferenceTables:
     def __init__(self, tab):
         X = tab.complex
         self.shape, self.up_to = X.shape, tab.up_to
-        self.cells, self.faces = tab.cells, tab.faces
+        self.cells = tab.cells
+        self.faces = [X.face_table(k) for k in range(tab.up_to + 1)]
         self.degens: list[np.ndarray] = []
         self.rotations: list[np.ndarray] = []
 

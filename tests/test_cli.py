@@ -6,6 +6,7 @@ import pytest
 
 from aufhebung import cli
 from aufhebung.cli import main
+from aufhebung.shapes import SHAPES
 
 
 def run(capsys, *argv):
@@ -85,13 +86,13 @@ def test_fill_budget_applies_before_any_face_table(tmp_path, capsys, monkeypatch
     p.write_text("shape cubical\nskeletal 1\ngen v dim 0\n"
                  + "".join(f"gen e{i} dim 1 faces v v\n" for i in range(5)))
     built = []
-    face_table = cli.complexes.SkeletalComplex._face_table
+    face_table = cli.complexes.SkeletalComplex.face_table
 
     def spy(self, k):
         built.append(k)
         return face_table(self, k)
 
-    monkeypatch.setattr(cli.complexes.SkeletalComplex, "_face_table", spy)
+    monkeypatch.setattr(cli.complexes.SkeletalComplex, "face_table", spy)
     code, out, err = run(capsys, "fill", str(p), "e0, e1, e2, e3", "--budget-cells", "3")
     assert (code, out, built) == (2, "", [])
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -295,6 +296,15 @@ def test_refused_arguments_exit_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "--seeds" in err or "--seeds" not in argv
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_verify_negative_n_exit_2(capsys, shape):
+    # the random complexes refuse a negative n as the builders do, with a
+    # usage error and no traceback
+    code, out, err = run(capsys, "verify", "--shape", shape, "--n", "-1", "--seeds", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("k_min,upper", [("5", "3"), ("3", "3")])

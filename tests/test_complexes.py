@@ -174,7 +174,7 @@ E = Cell("e", SimplexMorphism.identity(1))
     (1, (V, V, V), "'x' has 3 faces, expected 2"),
 ], ids=["undeclared", "wrong-dimension", "not-a-cell", "too-few", "too-many"])
 def test_face_tables_refuse_ill_formed_faces(dim, faces, message):
-    # tabulation does not validate: the table of any dimension k at or
+    # a face table does not validate: the table of any dimension k at or
     # above x's gathers its faces, and raises ComplexError (no KeyError,
     # and no table with a slot left unfilled) for each, while the tables
     # below it build
@@ -183,9 +183,9 @@ def test_face_tables_refuse_ill_formed_faces(dim, faces, message):
         GeneratorDecl("x", dim, faces)], truncation=4)
     for k in range(dim, 5):
         with pytest.raises(ComplexError) as err:
-            X.tabulate(k)
+            X.face_table(k)
         assert str(err.value) == message
-        assert X.tabulate(dim - 1).faces[dim - 1].shape[0] == len(X.cells_of_dim(dim - 1))
+        assert X.face_table(dim - 1).shape[0] == len(X.cells_of_dim(dim - 1))
 
 
 def test_act_identity_and_functoriality_fuzz():

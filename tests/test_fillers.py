@@ -1,5 +1,8 @@
 """Spheres and fillers: cycle equations, constructive routes vs the oracle."""
 
+import gc
+import weakref
+
 import pytest
 from helpers import enumerate_spheres, first_witness
 
@@ -261,10 +264,6 @@ def test_tabulation_budget_error():
 
 def test_face_tables_built_once(monkeypatch):
     X, _ = build_cubical_counterexample(2)
-    tab = X.tabulate(4)
-    again = X.tabulate(6)
-    assert tab.faces[3] is again.faces[3]
-    assert list(tab.cells[3]) == list(again.cells[3])
     calls = []
     act = SkeletalComplex.act
 
@@ -273,13 +272,80 @@ def test_face_tables_built_once(monkeypatch):
         return act(self, cell, f)
 
     monkeypatch.setattr(SkeletalComplex, "act", counting_act)
-    third = X.tabulate(6)
+    tab = X.tabulate(4)
+    first = [X.face_table(k) for k in range(7)]
+    again = X.tabulate(6)
+    assert list(tab.cells[3]) == list(again.cells[3])
+    assert all(a is X.face_table(k) for k, a in enumerate(first))
     assert calls == []
-    assert all(a is b for a, b in zip(again.faces, third.faces))
     with pytest.raises(ValueError):
-        third.faces[2][0, 0] = 0
+        first[2][0, 0] = 0
     with pytest.raises(TypeError):
-        third.cells[2][0] = X.cells_of_dim(2)[0]
+        again.cells[2][0] = X.cells_of_dim(2)[0]
+
+
+def spy_table_builds(monkeypatch):
+    """The (complex, k) of every face table built from now on, in build
+    order; a table read from the memo is not listed."""
+    built = []
+    face_table = SkeletalComplex.face_table
+
+    def spy(self, k):
+        if k not in self._faces_memo:
+            built.append((self, k))
+        return face_table(self, k)
+
+    monkeypatch.setattr(SkeletalComplex, "face_table", spy)
+    return built
+
+
+def fresh(X):
+    """A copy of ``X`` with nothing memoised."""
+    return SkeletalComplex(X.shape, X.skeletal_level, X.generators.values(), X.truncation)
+
+
+@pytest.mark.parametrize("build,n,k_min,upper", [
+    (build_cubical_counterexample, 2, 4, 6),
+    (build_cubical_counterexample, 1, 0, 3),
+    (build_simplicial_counterexample, 3, 5, 7),
+    (build_globular_counterexample, 2, 3, 6),
+])
+def test_entry_points_build_only_the_tables_they_read(monkeypatch, build, n, k_min, upper):
+    # a level check reads the tables k - 1 and k, a fill the table k, and
+    # a random complex the top table of each partial complex
+    X, s = build(n, truncation=upper)
+    built = spy_table_builds(monkeypatch)
+    Y = fresh(X)
+    coskeletal_up_to(Y, k_min, upper)
+    assert built == [(Y, k) for k in range(k_min, upper + 1)]
+    built.clear()
+    Y = fresh(X)
+    brute_force_fill(Y, s)
+    assert built == [(Y, s.k)]
+    built.clear()
+    R = random_skeletal_complex(X.shape, n, seed=6)
+    partials = {}
+    for Z, k in built:
+        if Z is not R:
+            partials.setdefault(Z, []).append(k)
+    assert sorted(Z.skeletal_level for Z in partials) == list(range(n))
+    assert all(ks == [Z.skeletal_level] for Z, ks in partials.items())
+
+
+def test_tabulated_complex_freed_without_the_cycle_collector():
+    # neither the memoised tables nor the cell layers refer back to their
+    # complex, so the last reference frees it
+    X, _ = build_cubical_counterexample(2)
+    gc.disable()
+    try:
+        Y = fresh(X)
+        tab = Y.tabulate(6)
+        coskeletal_up_to(Y, 4, 6)
+        gone = weakref.ref(Y)
+        del Y, tab
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_truncated_level_end_to_end():

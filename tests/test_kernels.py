@@ -16,7 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import LOOP_SIZES, TABLE_CASES, empty_table, loops, table_complexes
-from reference_scan import reference_prefixes, reference_sample, reference_scan
+from reference_scan import (
+    reference_duplicate_row_groups,
+    reference_prefixes,
+    reference_sample,
+    reference_scan,
+)
 
 from aufhebung import _kernels, cli, fillers
 from aufhebung.bounds import (
@@ -47,10 +52,9 @@ def assert_same_scan(got, want):
 ])
 def test_backends_identical(builder, shape, top):
     X = builder()
-    tab = X.tabulate(top)
     for k in range(1, top + 1):
-        F2 = tab.faces[k - 1]
-        for B, kw in ((tab.faces[k], dict(budget=10 ** 6, miss_cap=32)),
+        F2 = X.face_table(k - 1)
+        for B, kw in ((X.face_table(k), dict(budget=10 ** 6, miss_cap=32)),
                       (empty_table(shape, k), dict(budget=10 ** 6, miss_cap=5000))):
             assert_same_scan(_kernels.scan_spheres(F2, B, shape, k, **kw),
                              reference_scan(F2, B, shape, k, **kw))
@@ -58,10 +62,10 @@ def test_backends_identical(builder, shape, top):
 
 def test_backends_identical_on_budget_overflow():
     X = build_cubical_counterexample(1)[0]
-    tab = X.tabulate(2)
+    F2, B = X.face_table(1), X.face_table(2)
     kw = dict(budget=10, miss_cap=4)
-    a = _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2, **kw)
-    b = reference_scan(tab.faces[1], tab.faces[2], "cubical", 2, **kw)
+    a = _kernels.scan_spheres(F2, B, "cubical", 2, **kw)
+    b = reference_scan(F2, B, "cubical", 2, **kw)
     assert a.overflow and b.overflow
     assert a.n_spheres == b.n_spheres == 10
     assert_same_scan(a, b)
@@ -70,13 +74,13 @@ def test_backends_identical_on_budget_overflow():
 def test_blocks_split_inside_a_bucket():
     # one vertex and 4 loops: every slot of a cubical 2-sphere ranges over
     # all 5 one-cells, 625 spheres; tiny blocks cut each range mid-way
-    tab = loops("cubical", 4, 2).tabulate(2)
-    F2 = tab.faces[1]
+    X = loops("cubical", 4, 2)
+    F2 = X.face_table(1)
     # the second case lists the smallest 300 of 600 counted spheres, the
     # third the smallest 5 of all 625, kept across blocks that come in
     # planned, not lexicographic, order
     wants = []
-    for B, kw in ((tab.faces[2], dict(budget=10 ** 6, miss_cap=700)),
+    for B, kw in ((X.face_table(2), dict(budget=10 ** 6, miss_cap=700)),
                   (empty_table("cubical", 2), dict(budget=600, miss_cap=300)),
                   (empty_table("cubical", 2), dict(budget=10 ** 6, miss_cap=5))):
         wants.append(reference_scan(F2, B, "cubical", 2, **kw))
@@ -111,8 +115,8 @@ def test_counted_spheres_skip_the_membership_test():
     # 14^4 cubical 2-spheres on 13 loops, 27 of them filled: the last slot
     # is counted whole, and only the rows that can still hold one of the
     # smallest unfilled spheres are built and looked up
-    tab = loops("cubical", 13, 2).tabulate(2)
-    F2, B = tab.faces[1], tab.faces[2]
+    X = loops("cubical", 13, 2)
+    F2, B = X.face_table(1), X.face_table(2)
     for kw, most in ((dict(), 299),
                      (dict(miss_cap=fillers.WITNESS_CAP), fillers.WITNESS_CAP + len(B))):
         tested = []
@@ -150,9 +154,10 @@ def test_boundary_rows_are_checked_only_over_a_counted_interval(shape, n):
     assert calls["scan_spheres"] > 0
     assert calls["_sphere_rows"] == calls["_n_distinct"] == 0
     m, top = LOOP_SIZES["cubical"]
-    tab = loops("cubical", m, top).tabulate(top)
+    X = loops("cubical", m, top)
+    F2, B = X.face_table(1), X.face_table(2)
     with counting_calls(["_sphere_rows", "_n_distinct"], calls):
-        _kernels.scan_spheres(tab.faces[1], tab.faces[2], "cubical", 2)
+        _kernels.scan_spheres(F2, B, "cubical", 2)
     assert calls["_sphere_rows"] == calls["_n_distinct"] == 1
 
 
@@ -187,8 +192,7 @@ def stray_rows_against_reference(shape, vertex):
     have the identity ``vertex``."""
     v, w = (Cell(name, vertex) for name in "vw")
     X = loops(shape, 2, 2, [GeneratorDecl("w", 0, ()), GeneratorDecl("f", 1, (v, w))])
-    tab = X.tabulate(2)
-    F2, B = tab.faces[1], tab.faces[2]
+    F2, B = X.face_table(1), X.face_table(2)
     order = _kernels.plan_slots(shape, 2)[0]
     spheres = reference_scan(F2, empty_table(shape, 2), shape, 2,
                              miss_cap=10 ** 4).missing
@@ -299,7 +303,7 @@ def test_join_index_ranges_are_the_brute_force_candidates(shape):
     widest = 0
     for X in complexes:
         for k in range(1, min(4, X.truncation) + 1):
-            F2 = X.tabulate(k).faces[k - 1]
+            F2 = X.face_table(k - 1)
             slots = len(_kernels.build_constraints(shape, k))
             planned, cons = _kernels.plan_slots(shape, k)
             for order, index in (
@@ -368,8 +372,7 @@ def _complex_levels():
     for shape, n, top in (("simplicial", 3, 6), ("cubical", 2, 6),
                           ("cyclic", 2, 4), ("globular", 2, 6)):
         for X in table_complexes(shape, n)[:2]:
-            tab = X.tabulate(min(top, X.truncation))
-            levels += [(tab.faces[k - 1], tab.faces[k], shape, k)
+            levels += [(X.face_table(k - 1), X.face_table(k), shape, k)
                        for k in range(2, min(top, X.truncation) + 1)]
     return levels
 
@@ -419,15 +422,15 @@ def test_scan_rejects_non_positive_budget():
 
 def test_sampled_spheres_deterministic():
     X = build_cubical_counterexample(1)[0]
-    tab = X.tabulate(3)
-    index = _kernels.join_index(tab.faces[1], "cubical", 2)
+    F2 = X.face_table(1)
+    index = _kernels.join_index(F2, "cubical", 2)
     a = _kernels.sample_spheres(index, 25, seed=0)
-    b = _kernels.sample_spheres(_kernels.join_index(tab.faces[1], "cubical", 2), 25, seed=0)
+    b = _kernels.sample_spheres(_kernels.join_index(F2, "cubical", 2), 25, seed=0)
     c = _kernels.sample_spheres(index, 25, seed=1)
     assert a == b
     assert a != c or len(a) < 25
     # samples really are spheres: re-check against the exhaustive scan
-    full = _kernels.scan_spheres(tab.faces[1], empty_table("cubical", 2),
+    full = _kernels.scan_spheres(F2, empty_table("cubical", 2),
                                  "cubical", 2, budget=10 ** 6, miss_cap=10 ** 4)
     assert not full.overflow and full.n_missing <= 10 ** 4
     all_rows = {tuple(map(int, r)) for r in full.missing}
@@ -588,6 +591,19 @@ def test_duplicate_row_groups():
     groups = _kernels.duplicate_row_groups(B)
     assert [list(g) for g in groups] == [[0, 2, 5], [1, 4]]
     assert _kernels.duplicate_row_groups(np.zeros((0, 3), np.int32)) == []
+
+
+def test_duplicate_row_groups_match_reference():
+    # seeded small tables with many repeats, and the tables with no rows,
+    # no columns or one row
+    rng = np.random.default_rng(26)
+    tables = [np.zeros((rows, cols), np.int32) for rows in (0, 1, 2, 5) for cols in (0, 1, 3)]
+    tables += [rng.integers(0, 3, size=(rng.integers(0, 40), rng.integers(0, 4)),
+                            dtype=np.int32) for _ in range(500)]
+    for B in tables:
+        got, want = _kernels.duplicate_row_groups(B), reference_duplicate_row_groups(B)
+        assert len(got) == len(want), B.shape
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), B.shape
 
 
 def test_find_fillers():

@@ -78,8 +78,8 @@ def test_cyclic_presentation_identities():
 def assert_tables_match_act_oracle(X):
     """Every face table of ``X`` up to its truncation is read-only int32
     and equals the act oracle's."""
-    for k, got in enumerate(X.tabulate(X.truncation).faces):
-        want = act_face_table(X, k)
+    for k in range(X.truncation + 1):
+        got, want = X.face_table(k), act_face_table(X, k)
         assert got.dtype == want.dtype == np.int32 and not got.flags.writeable
         assert got.shape == want.shape and np.array_equal(got, want), (X.shape, k)
 
@@ -155,16 +155,17 @@ def test_face_tables_match_act_oracle_on_mixed_faces(shape):
 
 @pytest.mark.parametrize("shape,n", TABLE_CASES)
 def test_tabulation_ranks_each_generator_face_once(shape, n, monkeypatch):
-    # a complex ranks each generator face's epi once, however many
-    # dimensions it tabulates, and never again
+    # a complex ranks each generator face's epi once, however many face
+    # tables it builds, and never again
     ranked = []
     monkeypatch.setattr(complexes, "epi_rank",
                         lambda f: ranked.append(f) or epi_rank(f))
     for X in table_complexes(shape, n) + [mixed_faces(shape)]:
         X = SkeletalComplex(X.shape, X.skeletal_level, X.generators.values(), X.truncation)
         ranked.clear()
-        X.tabulate(X.truncation)
-        X.tabulate(X.truncation)
+        for _ in range(2):
+            for k in range(X.truncation + 1):
+                X.face_table(k)
         assert sorted(map(repr, ranked)) == sorted(
             repr(c.epi) for g in X.generators.values() for c in g.faces)
 
@@ -256,7 +257,7 @@ def test_cell_layers_computed_from_ids(shape, n, monkeypatch):
         for k, layer in enumerate(tab.cells):
             want = [Cell(name, e) for name, g in X.generators.items()
                     for e in enumerate_epis(k, g.dim, shape)]
-            assert list(layer) == want and len(layer) == tab.faces[k].shape[0]
+            assert list(layer) == want and len(layer) == X.face_table(k).shape[0]
             assert all(layer.index(layer[i]) == i for i in range(len(layer)))
             if want:
                 assert layer[-1] == want[-1]
@@ -288,7 +289,8 @@ def test_cell_layers_computed_from_ids(shape, n, monkeypatch):
         copy = SkeletalComplex(X.shape, X.skeletal_level, X.generators.values(),
                                X.truncation)
         tab = copy.tabulate(copy.truncation)
-        assert [len(layer) for layer in tab.cells] == [f.shape[0] for f in tab.faces]
+        assert [len(layer) for layer in tab.cells] == [
+            copy.face_table(k).shape[0] for k in range(copy.truncation + 1)]
     assert built == []
     assert tab.cells[0][0] and built  # the counter sees a cell built on demand
 
@@ -429,7 +431,7 @@ def test_kernel_scan_matches_naive_enumeration():
     for X, ks in jobs:
         tab = X.tabulate(max(ks))
         for k in ks:
-            scan = _kernels.scan_spheres(tab.faces[k - 1], empty_table(X.shape, k),
+            scan = _kernels.scan_spheres(X.face_table(k - 1), empty_table(X.shape, k),
                                          X.shape, k, budget=10 ** 6,
                                          miss_cap=10 ** 5)
             got = [tuple(map(int, row)) for row in scan.missing]
